@@ -3,13 +3,15 @@
 Every subcommand emits either a human-readable table (default on a
 terminal) or a schema-versioned JSON document (default when piped);
 ``--format`` overrides.  The environment variable ``HGPTSYM_TRACE_TOL``
-overrides the integer-rounding tolerance used for floating-point groups.
+overrides the integer-rounding tolerance used for floating-point groups;
+it must be a number in (0, 0.5).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,8 +35,16 @@ TABLE_CELLS = [(1, 1), (1, 2), (1, 3), (2, 2)]
 
 def _apply_env_tolerance():
     v = os.environ.get("HGPTSYM_TRACE_TOL")
-    if v:
-        invariants.TRACE_TOL = float(v)
+    if not v:
+        return
+    try:
+        tol = float(v)
+    except ValueError:
+        tol = math.nan
+    # a tolerance of 0.5 or more (or nan) would make the integer check vacuous
+    if not 0.0 < tol < 0.5:
+        raise ValueError("HGPTSYM_TRACE_TOL must be a number in (0, 0.5), got %r" % v)
+    invariants.TRACE_TOL = tol
 
 
 def _document(args, result):
@@ -308,10 +318,10 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_env_tolerance()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_env_tolerance()
         return args.func(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

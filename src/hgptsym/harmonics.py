@@ -18,6 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -210,12 +211,14 @@ def _gram_schmidt_orthonormal(cores):
     return ortho, norms2
 
 
+@cache
 def real_basis(n, style="integer"):
     """The 2n+1 real harmonic polynomials of degree n.
 
     ``style`` is "integer" or "orthonormal".  Degrees 0..4 reproduce the
     built-in tables; higher degrees are constructed from the Laplacian
-    null space (orthonormalized on the sphere when requested).
+    null space (orthonormalized on the sphere when requested).  Memoised:
+    the returned basis is shared and must not be modified.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
@@ -231,7 +234,7 @@ def real_basis(n, style="integer"):
             cores = [p for p, _ in pairs]
             norms2 = [s for _, s in pairs]
         else:
-            cores, norms2 = _gram_schmidt_orthonormal(harmonic_nullspace_basis(n))
+            cores, norms2 = _gram_schmidt_orthonormal(real_basis(n, "integer").polynomials)
         polys = [c * math.sqrt(s / math.pi) for c, s in zip(cores, norms2)]
         return HarmonicBasis(n, "orthonormal", tuple(polys), tuple(cores), tuple(norms2))
     raise ValueError("unknown style %r" % style)
@@ -376,8 +379,12 @@ def _coeff_matrix(polys, monos, dtype=complex):
     return B
 
 
+@cache
 def basis_change(n, real_style="orthonormal"):
-    """Solve H_n^m = sum_l a[l, m] I_n^l on monomial coefficients."""
+    """Solve H_n^m = sum_l a[l, m] I_n^l on monomial coefficients.
+
+    Memoised; ``a`` is read-only.
+    """
     basis = real_basis(n, real_style)
     harms = complex_solid_harmonics(n)
     monos = monomials_of_degree(n, 3)
@@ -396,6 +403,7 @@ def basis_change(n, real_style="orthonormal"):
     resid = float(np.max(np.abs(BI.T @ a - H.T)))
     if resid > 1e-9:
         raise RuntimeError("basis-change solve residual %g too large" % resid)
+    a.flags.writeable = False
     return BasisChange(n, real_style, a)
 
 

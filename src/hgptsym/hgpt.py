@@ -34,6 +34,8 @@ class HgptMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (2 * self.p + 1, 2 * self.q + 1):
             raise ValueError("entries must be (2p+1) x (2q+1)")
+        if not np.all(np.isfinite(e)):
+            raise ValueError("HGPT entries must be finite")
         object.__setattr__(self, "entries", e)
 
     def coefficient(self, i, j):
@@ -166,6 +168,8 @@ def forward_voltage(blocks, x_r, x_s):
     """
     x_r = tuple(float(v) for v in x_r)
     x_s = tuple(float(v) for v in x_s)
+    if not all(math.isfinite(v) for v in x_r + x_s):
+        raise ValueError("source and receiver must be finite points")
     rr = math.sqrt(sum(v * v for v in x_r))
     rs = math.sqrt(sum(v * v for v in x_s))
     if rr == 0.0 or rs == 0.0:

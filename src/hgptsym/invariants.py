@@ -15,10 +15,11 @@ integer reconstruction.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -60,12 +61,19 @@ class RepresentationSpace:
     def dim(self):
         return len(self.basis)
 
-    @property
+    @cached_property
     def is_exact(self):
         return all(isinstance(c, _F) for row in self.B for c in row)
 
-    def coefficient_matrix(self):
-        return np.array([[float(c) for c in row] for row in self.B])
+    @cached_property
+    def coefficients(self):
+        """``B`` as a read-only float array."""
+        return _read_only(np.array([[float(c) for c in row] for row in self.B]))
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _coeff_rows(polys, monomials):
@@ -82,6 +90,7 @@ def _coeff_rows(polys, monomials):
     return rows
 
 
+@cache
 def harmonic_space(p, style="integer"):
     basis = real_basis(p, style)
     monos = tuple(monomials_of_degree(p, 3))
@@ -113,6 +122,7 @@ def _lift(poly3, block):
     return Polynomial(terms, 6)
 
 
+@cache
 def symmetric_product_space(p, q, style="integer"):
     """Span of I_p^i(x) I_q^j(y) + I_p^i(y) I_q^j(x).
 
@@ -147,38 +157,91 @@ def symmetric_product_space(p, q, style="integer"):
 # action matrices and the averaging projector
 # ---------------------------------------------------------------------------
 
-def _compose_basis(space, R, exact):
-    which = "x" if space.kind == "harmonic" else "both"
-    return [b.compose_linear(R, which) for b in space.basis]
+@cache
+def _sample_values(monomials):
+    """Fixed points X on the unit sphere and the monomials evaluated there.
+
+    Twice as many points as monomials, on a Fibonacci lattice; the
+    Vandermonde matrix is checked to have full column rank, so a
+    homogeneous polynomial that vanishes at every point is zero.
+    """
+    n = 2 * len(monomials)
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    r = np.sqrt(1.0 - z * z)
+    phi = k * math.pi * (3.0 - math.sqrt(5.0))
+    X = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    V = _monomial_values(X, monomials)
+    if np.linalg.matrix_rank(V) < len(monomials):
+        raise RuntimeError("sample points do not separate the monomials")
+    return _read_only(X), _read_only(V)
+
+
+def _monomial_values(X, monomials):
+    return np.prod(X[:, None, :] ** np.array(monomials)[None, :, :], axis=2)
+
+
+def _harmonic_action(space, R, exact_R=None):
+    """D(R) on a 3-variable space: row i holds basis[i] o R in the basis.
+
+    Exact: compose each basis polynomial with ``exact_R`` and solve over
+    the rationals.  Float: basis(R X) = D basis(X) at the fixed sample
+    points X, solved by least squares; the rank check and the residual
+    relative to the value scale prove basis o R lies in the span.
+    """
+    if exact_R is not None and space.is_exact:
+        composed = [b.compose_linear(exact_R, "x") for b in space.basis]
+        rows = _coeff_rows(composed, space.monomials)
+        Dt = rational_solve(list(zip(*space.B)), list(zip(*rows)))
+        return np.array(Dt, dtype=object).T
+    X, V = _sample_values(space.monomials)
+    Bt = space.coefficients.T
+    G = V @ Bt                                            # basis at X
+    F = _monomial_values(X @ np.asarray(R, dtype=float).T, space.monomials) @ Bt
+    Dt, _, rank, _ = np.linalg.lstsq(G, F, rcond=None)
+    if rank < space.dim:
+        raise RuntimeError("basis is rank-deficient")
+    resid = float(np.max(np.abs(G @ Dt - F))) / max(float(np.max(np.abs(F))), 1e-300)
+    if resid > SOLVE_TOL:
+        raise RuntimeError("composed polynomial not in the span (residual %g)" % resid)
+    return Dt.T
+
+
+def _fold(Dp, Dq, symmetric):
+    """pi(R) on S_pq from D_p(R) and D_q(R), in ``index_map`` order.
+
+    p != q: the Kronecker product.  p == q: row (i, j), i < j, is
+    D[i,k] D[j,l] + D[j,k] D[i,l] over pairs k <= l; row (i, i) is
+    D[i,k] D[i,l].
+    """
+    K = np.kron(Dp, Dq)
+    if not symmetric:
+        return K
+    n = Dp.shape[0]
+    K = K.reshape(n, n, n, n)          # K[i, j, k, l] = D[i, k] D[j, l]
+    iu, ju = np.triu_indices(n)
+    P = K[iu, ju][:, iu, ju]
+    off = iu != ju
+    P[off] += K[ju[off], iu[off]][:, iu, ju]
+    return P
 
 
 def action_matrix(space, R, exact_R=None):
     """Matrix pi(R): row i holds the coefficients of basis[i] o R in the basis.
 
     Exact when the space basis and R are rational (pass ``exact_R`` as rows
-    of Fractions); otherwise solved by least squares with residual check.
+    of Fractions; the result is rows of Fractions); otherwise float.  On a
+    symmetric-product space pi(R) is folded from the degree-p and degree-q
+    harmonic actions.
     """
-    if exact_R is not None and space.is_exact:
-        composed = _compose_basis(space, exact_R, True)
-        rows = _coeff_rows(composed, space.monomials)
-        Bt = [[space.B[i][j] for i in range(space.dim)]
-              for j in range(len(space.monomials))]
-        Ct = [[rows[i][j] for i in range(space.dim)]
-              for j in range(len(space.monomials))]
-        X = rational_solve(Bt, Ct)  # pi^T
-        return [[X[j][i] for j in range(space.dim)] for i in range(space.dim)]
-    Rf = np.asarray(R, dtype=float)
-    composed = _compose_basis(space, Rf, False)
-    C = np.array([[float(c) for c in row]
-                  for row in _coeff_rows(composed, space.monomials)])
-    B = space.coefficient_matrix()
-    X, _, rank, _ = np.linalg.lstsq(B.T, C.T, rcond=None)
-    if rank < space.dim:
-        raise RuntimeError("basis is rank-deficient")
-    resid = float(np.max(np.abs(B.T @ X - C.T)))
-    if resid > SOLVE_TOL:
-        raise RuntimeError("composed polynomial not in the span (residual %g)" % resid)
-    return X.T
+    if space.kind == "harmonic":
+        D = _harmonic_action(space, R, exact_R)
+    else:
+        Dp = _harmonic_action(harmonic_space(space.p, space.style), R, exact_R)
+        Dq = Dp if space.q == space.p else \
+            _harmonic_action(harmonic_space(space.q, space.style), R, exact_R)
+        D = _fold(Dp, Dq, space.p == space.q)
+    return D.tolist() if D.dtype == object else D
 
 
 def averaging_projector(space, group):
@@ -270,8 +333,7 @@ def invariant_subspace(space, group):
         if abs(tr - m) > TRACE_TOL:
             raise RuntimeError("projector trace %.9f is not near an integer" % tr)
     if m == 0:
-        return InvariantSubspace(space, group.group_name if hasattr(group, "group_name")
-                                 else group.name, 0, (), (), ())
+        return InvariantSubspace(space, group.name, 0, (), (), ())
     # rows of M_pi applied to the basis, in basis coordinates
     if exact:
         rows = M
@@ -293,8 +355,7 @@ def invariant_subspace(space, group):
             crow = [c * scale for c in crow]
             mono = [c * scale for c in mono]
         else:
-            B = space.coefficient_matrix()
-            mono = np.array([float(c) for c in crow]) @ B
+            mono = np.array([float(c) for c in crow]) @ space.coefficients
             poly = Polynomial({space.monomials[j]: mono[j] for j in range(nm)
                                if abs(mono[j]) > 1e-12}, space.basis[0].nvars)
             poly, scale = poly.canonicalized()
@@ -408,6 +469,8 @@ def _char_poly_series(R, M_max, exact):
 
 def molien_series(group, M_max):
     """Truncated Molien series g and harmonic series h = (1 - t^2) g."""
+    if M_max < 0:
+        raise ValueError("max degree must be non-negative, got %d" % M_max)
     if group.is_rational:
         total = [_F(0)] * (M_max + 1)
         for E in group.exact_elements:

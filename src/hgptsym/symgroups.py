@@ -101,10 +101,6 @@ def _icosahedral_generators():
 # closure enumeration
 # ---------------------------------------------------------------------------
 
-def _float_key(M):
-    return tuple(round(float(v), 6) for v in np.asarray(M, dtype=float).ravel())
-
-
 def _contains(elements, M, tol=MATCH_TOL):
     for E in elements:
         if np.max(np.abs(E - M)) < tol:
@@ -221,14 +217,17 @@ def adjoin_inversion(g):
     elems = tuple(g.elements) + tuple(J @ E for E in g.elements)
     exact = None
     if g.exact_elements is not None:
-        Jx = tuple(tuple(_F(v) for v in row) for row in J_MATRIX)
         exact = tuple(g.exact_elements) + tuple(
             tuple(tuple(-x for x in row) for row in E) for E in g.exact_elements)
     return PointGroup(g.name + "i", elems, g.generators + (J,), exact)
 
 
 def type3_group(g2, g1):
-    """G1 together with J*(G2 \\ G1); G1 must be an index-2 subgroup of G2."""
+    """G1 together with J*(G2 \\ G1); G1 must be an index-2 subgroup of G2.
+
+    The generators are those of G1 and J*h for one h in G2 \\ G1: G1 and h
+    generate G2, and g -> g on G1, g -> J g off it is an isomorphism.
+    """
     if 2 * g1.order != g2.order:
         raise ValueError("G1 is not an index-2 subgroup of G2 (orders %d, %d)"
                          % (g1.order, g2.order))
@@ -245,7 +244,7 @@ def type3_group(g2, g1):
         exact = tuple(g1.exact_elements) + tuple(
             tuple(tuple(-x for x in row) for row in E) for E in coset_x)
     name = "type3:%s/%s" % (g2.name, g1.name)
-    return PointGroup(name, elems, g2.generators, exact)
+    return PointGroup(name, elems, g1.generators + (J @ coset[0],), exact)
 
 
 _NAME_RE = re.compile(r"^([CD])(\d+)(i?)$|^([TOI])(i?)$")

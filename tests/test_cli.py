@@ -142,3 +142,35 @@ class TestErrors:
             assert invariants.TRACE_TOL == 1e-3
         finally:
             invariants.TRACE_TOL = old
+
+    @pytest.mark.parametrize("value", ["nan", "-1e-3", "abc", "inf", "0.5"])
+    def test_env_tolerance_rejected(self, capsys, monkeypatch, value):
+        from hgptsym import invariants
+        monkeypatch.setenv("HGPTSYM_TRACE_TOL", value)
+        old = invariants.TRACE_TOL
+        code, out, err = run(capsys, ["molien", "--group", "C3",
+                                      "--max-degree", "2", "--format", "json"])
+        assert code != 0 and out == ""
+        assert "HGPTSYM_TRACE_TOL" in err
+        assert invariants.TRACE_TOL == old
+
+    def test_negative_molien_degree(self, capsys):
+        code, out, err = run(capsys, ["molien", "--group", "C4", "--max-degree", "-3"])
+        assert code == 1 and out == ""
+        assert "max degree" in err
+
+    def test_non_finite_block_entry(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"blocks": [{"p": 0, "q": 0, "entries": [NaN]}]}')
+        code, out, err = run(capsys, ["forward", "--blocks", str(path),
+                                      "--source", "0,0,2", "--receiver", "0,0,2"])
+        assert code == 1 and out == ""
+        assert "finite" in err
+
+    def test_non_finite_point(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text('{"blocks": [{"p": 0, "q": 0, "entries": [1.0]}]}')
+        code, out, err = run(capsys, ["forward", "--blocks", str(path),
+                                      "--source", "nan,0,2", "--receiver", "0,0,2"])
+        assert code == 1 and out == ""
+        assert "finite" in err

@@ -157,3 +157,16 @@ class TestGreenExpansion:
             H.green_expansion((1.0, 0, 0), (2.0, 0, 0), 3)
         with pytest.raises(ValueError):
             H.green_expansion((0.0, 0, 0), (0.0, 0, 0), 3)
+
+
+class TestMemoisedBuilders:
+    def test_basis_change_arrays_are_read_only(self):
+        bc = H.basis_change(2)
+        assert H.basis_change(2) is bc
+        for A in (bc.a, bc.matrix):
+            assert not A.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 0
+
+    def test_real_basis_is_shared(self):
+        assert H.real_basis(5, "orthonormal") is H.real_basis(5, "orthonormal")

@@ -240,3 +240,17 @@ class TestJsonSchema:
         M = hgpt.HgptMatrix.from_json_dict(d)
         assert M.p == 1 and M.q == 2 and M.basis_style == "integer"
         assert np.max(np.abs(M.entries - N.entries)) == 0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_entries_rejected(self, bad):
+        e = np.zeros((3, 3))
+        e[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hgpt.HgptMatrix(1, 1, e)
+
+    def test_points_rejected(self):
+        blocks = [hgpt.HgptMatrix(1, 1, np.eye(3))]
+        with pytest.raises(ValueError, match="finite"):
+            hgpt.forward_voltage(blocks, (0.0, 0.0, 2.0), (math.nan, 0.0, 2.0))

@@ -70,6 +70,49 @@ class TestActionMatrices:
             rhs = D @ np.array([float(b.evaluate(tuple(x))) for b in space.basis])
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 3)])
+    def test_symmetric_product_identity_float(self, rng, p, q):
+        # S_b(Rx, Ry) = sum_c pi[b, c] S_c(x, y) pointwise
+        from conftest import random_rotation
+        space = inv.symmetric_product_space(p, q)
+        R = random_rotation(rng)
+        P = np.asarray(inv.action_matrix(space, R))
+        for _ in range(3):
+            x, y = rng.normal(size=3), rng.normal(size=3)
+            moved = tuple(R @ x) + tuple(R @ y)
+            lhs = np.array([float(b.evaluate(moved)) for b in space.basis])
+            rhs = P @ np.array([float(b.evaluate(tuple(x) + tuple(y)))
+                                for b in space.basis])
+            assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.max(np.abs(lhs)))
+
+    @pytest.mark.parametrize("p,q", [(1, 2), (2, 2), (3, 3)])
+    def test_symmetric_product_identity_exact(self, p, q):
+        g = sg.build_group("O")
+        space = inv.symmetric_product_space(p, q)
+        pt = (F(1), F(-2, 3), F(3, 5), F(2), F(1, 7), F(-5, 4))
+        values = [b.evaluate(pt) for b in space.basis]
+        for X in g.exact_elements:
+            P = inv.action_matrix(space, X, exact_R=X)
+            moved = tuple(sum(X[i][k] * v[k] for k in range(3))
+                          for v in (pt[:3], pt[3:]) for i in range(3))
+            for b, row in zip(space.basis, P):
+                assert b.evaluate(moved) == sum(c * v for c, v in zip(row, values))
+
+    def test_span_that_is_not_rotation_closed_is_rejected(self):
+        from hgptsym.polyalg import Polynomial
+        monos = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        basis = (Polynomial.variable(0), Polynomial.variable(1))
+        B = ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
+        space = inv.RepresentationSpace("harmonic", 1, None, "integer", basis,
+                                        ((-1,), (0,)), monos, B)
+        c, s = np.cos(0.3), np.sin(0.3)
+        about_x3 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        about_x1 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        D = inv.action_matrix(space, about_x3)
+        assert np.max(np.abs(D - about_x3[:2, :2])) < 1e-12
+        with pytest.raises(RuntimeError, match="not in the span"):
+            inv.action_matrix(space, about_x1)
+
     def test_float_matches_exact(self):
         g = sg.build_group("C4")
         space = inv.symmetric_product_space(1, 1)

@@ -64,6 +64,16 @@ class TestType3:
         # J itself is not an element (it pairs only with the non-subgroup coset)
         assert not any(np.max(np.abs(np.asarray(E) + np.eye(3))) < 1e-12 for E in g)
 
+    @pytest.mark.parametrize("name", ["type3:C2/C1", "type3:C4/C2", "type3:D4/C4",
+                                      "type3:D4/D2", "type3:D6/D3", "type3:O/T"])
+    def test_generators_are_elements_and_close_to_the_group(self, name):
+        g = sg.build_group(name)
+        for G in g.generators:
+            assert sg._contains(g.elements, G)
+        closed = sg.group_from_generators("closure", g.generators)
+        assert closed.order == g.order
+        assert all(sg._contains(closed.elements, E) for E in g.elements)
+
     def test_rejects_wrong_index(self):
         with pytest.raises(ValueError):
             sg.type3_group(sg.build_group("C6"), sg.build_group("C2"))
