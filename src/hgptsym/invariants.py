@@ -8,9 +8,12 @@ dimension series with its harmonic counterpart h(t) = (1 - t^2) g(t),
 and the translation of fixed symmetric products into linear relations
 among HGPT coefficients.
 
-Rational groups run in exact arithmetic end to end; irrational ones
-(C3, C5, C6, icosahedral, ...) run in floats with tolerance-checked
-integer reconstruction.
+There is one pipeline, written once over the field of the numbers it
+holds.  ``averaging_projector`` picks the field: ``Fraction`` when the
+space basis and the group are rational (C2, C4, D4, T, O, ...), float
+otherwise (C3, C5, C6, icosahedral, ...).  Every later step follows the
+field of the projector: exact zero tests on Fractions, one relative
+tolerance on floats (``polyalg.zero_tolerance``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .harmonics import monomials_of_degree, real_basis
-from .polyalg import Polynomial, rational_rref, rational_solve
+from .polyalg import Polynomial, rational_rref, rational_solve, zero_tolerance
 
 _F = Fraction
 
@@ -80,12 +83,10 @@ def _coeff_rows(polys, monomials):
     index = {e: i for i, e in enumerate(monomials)}
     rows = []
     for p in polys:
-        row = [_F(0)] * len(monomials)
-        exact = p.is_exact()
-        if not exact:
-            row = [0.0] * len(monomials)
+        cast = _F if p.is_exact() else float
+        row = [cast(0)] * len(monomials)
         for e, c in p.terms.items():
-            row[index[e]] = c if exact else float(c)
+            row[index[e]] = cast(c)
         rows.append(row)
     return rows
 
@@ -190,7 +191,7 @@ def _harmonic_action(space, R, exact_R=None):
     relative to the value scale prove basis o R lies in the span.
     """
     if exact_R is not None and space.is_exact:
-        composed = [b.compose_linear(exact_R, "x") for b in space.basis]
+        composed = [b.compose_linear(exact_R) for b in space.basis]
         rows = _coeff_rows(composed, space.monomials)
         Dt = rational_solve(list(zip(*space.B)), list(zip(*rows)))
         return np.array(Dt, dtype=object).T
@@ -245,27 +246,17 @@ def action_matrix(space, R, exact_R=None):
 
 
 def averaging_projector(space, group):
-    """M_pi = (1/|G|) sum_R pi(R); idempotent projector onto the fixed space."""
-    if space.is_exact and group.is_rational:
-        n = space.dim
-        total = [[_F(0)] * n for _ in range(n)]
-        for E in group.exact_elements:
-            P = action_matrix(space, E, exact_R=E)
-            for i in range(n):
-                for j in range(n):
-                    total[i][j] += P[i][j]
-        g = _F(group.order)
-        return [[v / g for v in row] for row in total]
-    total = np.zeros((space.dim, space.dim))
-    for E in group.elements:
-        total += action_matrix(space, E)
-    return total / group.order
+    """M_pi = (1/|G|) sum_R pi(R); idempotent projector onto the fixed space.
 
-
-def projector_as_float(M):
-    if isinstance(M, np.ndarray):
-        return M
-    return np.array([[float(v) for v in row] for row in M])
+    This is where the field is chosen: rows of Fractions when the space
+    basis and the group are rational, a float array otherwise.
+    """
+    exact = space.is_exact and group.is_rational
+    elements = group.exact_elements if exact else group.elements
+    total = sum(np.asarray(action_matrix(space, E, E if exact else None))
+                for E in elements)
+    M = total / group.order
+    return M.tolist() if exact else M
 
 
 # ---------------------------------------------------------------------------
@@ -284,87 +275,47 @@ class InvariantSubspace:
     monomial_rows: tuple         # rows over space.monomials (same scaling)
 
 
-def _select_independent_rows(rows, m, exact):
-    """Indices of the first m rows that are linearly independent, in order."""
-    chosen = []
-    if exact:
-        kept = []
-        for idx, row in enumerate(rows):
-            if all(c == 0 for c in row):
-                continue
-            trial = kept + [list(row)]
-            if len(rational_rref(trial)[1]) == len(trial):
-                kept = trial
-                chosen.append(idx)
-            if len(chosen) == m:
-                break
-    else:
-        A = np.array([[float(c) for c in r] for r in rows])
-        scale = max(np.max(np.abs(A)), 1.0)
-        kept = np.zeros((0, A.shape[1]))
-        for idx in range(A.shape[0]):
-            row = A[idx]
-            if np.max(np.abs(row)) < 1e-9 * scale:
-                continue
-            trial = np.vstack([kept, row])
-            if np.linalg.matrix_rank(trial, tol=1e-8 * scale) == trial.shape[0]:
-                kept = trial
-                chosen.append(idx)
-            if len(chosen) == m:
-                break
-    if len(chosen) != m:
+def _integer(v, what):
+    """``v`` as an int: exactly for a Fraction, within TRACE_TOL for a float."""
+    n = round(v)
+    if abs(v - n) > (0 if isinstance(v, _F) else TRACE_TOL):
+        raise RuntimeError("%s %s is not an integer" % (what, v))
+    return int(n)
+
+
+def _select_independent_rows(M, m):
+    """Indices of the first m linearly independent rows of M, in order.
+
+    They are the pivot columns of rref(M^T); M must have rank m.
+    """
+    _, pivots = rational_rref(M.T.tolist())
+    if len(pivots) != m:
         raise RuntimeError("found %d independent projected elements, expected %d"
-                           % (len(chosen), m))
-    return chosen
+                           % (len(pivots), m))
+    return pivots
 
 
 def invariant_subspace(space, group):
     """Dimension and canonical basis of the subspace fixed by the group."""
-    M = averaging_projector(space, group)
-    exact = not isinstance(M, np.ndarray)
-    if exact:
-        tr = sum(M[i][i] for i in range(space.dim))
-        if tr.denominator != 1:
-            raise RuntimeError("projector trace %s is not an integer" % tr)
-        m = int(tr)
-    else:
-        tr = float(np.trace(M))
-        m = round(tr)
-        if abs(tr - m) > TRACE_TOL:
-            raise RuntimeError("projector trace %.9f is not near an integer" % tr)
+    M = np.asarray(averaging_projector(space, group))   # Fractions -> object dtype
+    m = _integer(M.trace(), "projector trace")
     if m == 0:
         return InvariantSubspace(space, group.name, 0, (), (), ())
-    # rows of M_pi applied to the basis, in basis coordinates
-    if exact:
-        rows = M
-    else:
-        rows = [list(r) for r in M]
-    chosen = _select_independent_rows(rows, m, exact)
+    # rows of M_pi applied to the basis, in basis and in monomial coordinates;
+    # B is the basis coefficient matrix in the field of M
+    B = np.asarray(space.B, dtype=object) if M.dtype == object else space.coefficients
     polys = []
     coeff_rows = []
     mono_rows = []
-    nm = len(space.monomials)
-    for idx in chosen:
-        crow = rows[idx]
-        if exact:
-            mono = [sum(crow[k] * space.B[k][j] for k in range(space.dim))
-                    for j in range(nm)]
-            poly = Polynomial({space.monomials[j]: mono[j] for j in range(nm)},
-                              space.basis[0].nvars)
-            poly, scale = poly.canonicalized()
-            crow = [c * scale for c in crow]
-            mono = [c * scale for c in mono]
-        else:
-            mono = np.array([float(c) for c in crow]) @ space.coefficients
-            poly = Polynomial({space.monomials[j]: mono[j] for j in range(nm)
-                               if abs(mono[j]) > 1e-12}, space.basis[0].nvars)
-            poly, scale = poly.canonicalized()
-            poly = poly.snapped()
-            crow = [float(c) * float(scale) for c in crow]
-            mono = [v * float(scale) for v in mono]
-        polys.append(poly)
-        coeff_rows.append(tuple(crow))
-        mono_rows.append(tuple(mono))
+    for crow in M[_select_independent_rows(M, m)]:
+        mono = crow @ B
+        tol = zero_tolerance([mono])
+        poly = Polynomial({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
+                          space.basis[0].nvars)
+        poly, scale = poly.canonicalized()
+        polys.append(poly.snapped())
+        coeff_rows.append(tuple((crow * scale).tolist()))
+        mono_rows.append(tuple((mono * scale).tolist()))
     return InvariantSubspace(space, group.name, m, tuple(polys),
                              tuple(coeff_rows), tuple(mono_rows))
 
@@ -440,23 +391,16 @@ class MolienSeries:
     h: tuple  # invariant harmonic counts, h_m = g_m - g_{m-2}
 
 
-def _char_poly_series(R, M_max, exact):
-    """Power series of 1/det(I - t R) to order M_max."""
-    if exact:
-        c1 = R[0][0] + R[1][1] + R[2][2]
-        c2 = (R[0][0] * R[1][1] - R[0][1] * R[1][0]
-              + R[0][0] * R[2][2] - R[0][2] * R[2][0]
-              + R[1][1] * R[2][2] - R[1][2] * R[2][1])
-        c3 = (R[0][0] * (R[1][1] * R[2][2] - R[1][2] * R[2][1])
-              - R[0][1] * (R[1][0] * R[2][2] - R[1][2] * R[2][0])
-              + R[0][2] * (R[1][0] * R[2][1] - R[1][1] * R[2][0]))
-        s = [_F(1)]
-    else:
-        Rf = np.asarray(R, dtype=float)
-        c1 = float(np.trace(Rf))
-        c2 = float((np.trace(Rf) ** 2 - np.trace(Rf @ Rf)) / 2.0)
-        c3 = float(np.linalg.det(Rf))
-        s = [1.0]
+def _char_poly_series(R, M_max):
+    """Power series of 1/det(I - t R) to order M_max, in the field of R."""
+    c1 = R[0][0] + R[1][1] + R[2][2]
+    c2 = (R[0][0] * R[1][1] - R[0][1] * R[1][0]
+          + R[0][0] * R[2][2] - R[0][2] * R[2][0]
+          + R[1][1] * R[2][2] - R[1][2] * R[2][1])
+    c3 = (R[0][0] * (R[1][1] * R[2][2] - R[1][2] * R[2][1])
+          - R[0][1] * (R[1][0] * R[2][2] - R[1][2] * R[2][0])
+          + R[0][2] * (R[1][0] * R[2][1] - R[1][1] * R[2][0]))
+    s = [_F(1)]
     for k in range(1, M_max + 1):
         v = c1 * s[k - 1]
         if k >= 2:
@@ -471,28 +415,14 @@ def molien_series(group, M_max):
     """Truncated Molien series g and harmonic series h = (1 - t^2) g."""
     if M_max < 0:
         raise ValueError("max degree must be non-negative, got %d" % M_max)
-    if group.is_rational:
-        total = [_F(0)] * (M_max + 1)
-        for E in group.exact_elements:
-            s = _char_poly_series(E, M_max, True)
-            total = [a + b for a, b in zip(total, s)]
-        g = []
-        for v in total:
-            v = v / group.order
-            if v.denominator != 1 or v < 0:
-                raise RuntimeError("non-integer Molien coefficient %s" % v)
-            g.append(int(v))
-    else:
-        total = np.zeros(M_max + 1)
-        for E in group.elements:
-            total += np.array(_char_poly_series(E, M_max, False))
-        total /= group.order
-        g = []
-        for v in total:
-            iv = round(float(v))
-            if abs(v - iv) > TRACE_TOL or iv < 0:
-                raise RuntimeError("Molien coefficient %.9f not near an integer" % v)
-            g.append(iv)
+    elements = group.exact_elements if group.is_rational else group.elements
+    series = [_char_poly_series(E, M_max) for E in elements]
+    g = []
+    for total in map(sum, zip(*series)):
+        v = _integer(total / group.order, "Molien coefficient")
+        if v < 0:
+            raise RuntimeError("negative Molien coefficient %d" % v)
+        g.append(v)
     h = [g[m] - (g[m - 2] if m >= 2 else 0) for m in range(M_max + 1)]
     return MolienSeries(group.name, M_max, tuple(g), tuple(h))
 
@@ -554,53 +484,23 @@ def coefficient_pattern(inv):
     if space.kind != "symmetric_product":
         raise ValueError("pattern requires a symmetric-product space")
     pairs = space.index_map
-    rows = [list(r) for r in inv.coefficient_rows]
-    if not rows:
+    if not inv.coefficient_rows:
         return CoefficientPattern(space.p, space.q, space.style, inv.group_name,
                                   pairs, (), tuple(pairs), {}, ())
-    exact = all(isinstance(c, _F) for r in rows for c in r)
-    if exact:
-        rref, pivots = rational_rref(rows)
-        rref = [[c for c in r] for r in rref[:len(pivots)]]
-    else:
-        A = np.array([[float(c) for c in r] for r in rows])
-        # float RREF via repeated pivoting
-        pivots = []
-        r = 0
-        A = A.copy()
-        scale = np.max(np.abs(A))
-        for c in range(A.shape[1]):
-            piv = None
-            for i in range(r, A.shape[0]):
-                if abs(A[i, c]) > 1e-9 * scale:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            A[[r, piv]] = A[[piv, r]]
-            A[r] = A[r] / A[r, c]
-            for i in range(A.shape[0]):
-                if i != r and abs(A[i, c]) > 0:
-                    A[i] = A[i] - A[i, c] * A[r]
-            pivots.append(c)
-            r += 1
-            if r == A.shape[0]:
-                break
-        rref = A[:len(pivots)].tolist()
+    rref, pivots = rational_rref(inv.coefficient_rows)
+    rref = rref[:len(pivots)]
+    tol = zero_tolerance(rref)
     independent = tuple(pairs[c] for c in pivots)
     zero = []
     relations = {}
-    npairs = len(pairs)
-    for c in range(npairs):
+    for c, pair in enumerate(pairs):
         if c in pivots:
             continue
-        col = [rref[k][c] for k in range(len(pivots))]
-        if all((v == 0 if exact else abs(v) < 1e-9) for v in col):
-            zero.append(pairs[c])
+        terms = [(pairs[pc], row[c]) for pc, row in zip(pivots, rref) if abs(row[c]) > tol]
+        if terms:
+            relations[pair] = terms
         else:
-            relations[pairs[c]] = [(pairs[pivots[k]], col[k])
-                                   for k in range(len(pivots))
-                                   if (col[k] != 0 if exact else abs(col[k]) > 1e-9)]
+            zero.append(pair)
     vectors = tuple(tuple(float(v) for v in r) for r in rref)
     return CoefficientPattern(space.p, space.q, space.style, inv.group_name,
                               pairs, independent, tuple(zero), relations, vectors)

@@ -200,56 +200,28 @@ class Polynomial:
             total = total + v
         return total
 
-    def compose_linear(self, R, which="both"):
-        """Substitute x -> R x (and/or y -> R y) for a 3x3 matrix R.
+    def compose_linear(self, R):
+        """Substitute x -> R x for a 3x3 matrix R (3-variable polynomials).
 
-        ``which`` is one of "x", "y", "both".  Exact when R has rational
-        entries supplied as Fractions/ints.
+        Exact when R has rational entries supplied as Fractions/ints.
         """
-        rows = [[_coerce(R[i][j]) for j in range(3)] for i in range(3)]
-        sub_x = which in ("x", "both")
-        sub_y = which in ("y", "both")
-        if self.nvars == 3 and not sub_x:
-            raise ValueError("3-variable polynomial has no y block")
-        if self.nvars == 3:
-            sub_y = False
-
-        # linear forms for each substituted variable
-        forms = {}
-        for i in range(3):
-            if sub_x:
-                forms[i] = Polynomial(
-                    {tuple(1 if j == k else 0 for k in range(self.nvars)): rows[i][j]
-                     for j in range(3)}, self.nvars)
-            if sub_y and self.nvars == 6:
-                forms[3 + i] = Polynomial(
-                    {tuple(1 if j + 3 == k else 0 for k in range(6)): rows[i][j]
-                     for j in range(3)}, 6)
-
-        power_cache = {}
+        if self.nvars != 3:
+            raise ValueError("compose_linear requires a 3-variable polynomial")
+        forms = [Polynomial({tuple(int(j == k) for k in range(3)): R[i][j]
+                             for j in range(3)}, 3) for i in range(3)]
+        powers = [[Polynomial.one(3)] for _ in range(3)]
 
         def power(v, k):
-            key = (v, k)
-            if key not in power_cache:
-                if k == 0:
-                    power_cache[key] = Polynomial.one(self.nvars)
-                elif k == 1:
-                    power_cache[key] = forms[v]
-                else:
-                    power_cache[key] = power(v, k - 1) * forms[v]
-            return power_cache[key]
+            while len(powers[v]) <= k:
+                powers[v].append(powers[v][-1] * forms[v])
+            return powers[v][k]
 
-        out = Polynomial.zero(self.nvars)
+        out = Polynomial.zero(3)
         for e, c in self.terms.items():
-            term = Polynomial.constant(c, self.nvars)
+            term = Polynomial.constant(c, 3)
             for v, k in enumerate(e):
-                if k == 0:
-                    continue
-                if v in forms:
+                if k:
                     term = term * power(v, k)
-                else:
-                    term = term * Polynomial.monomial(
-                        tuple(k if u == v else 0 for u in range(self.nvars)))
             out = out + term
         return out
 
@@ -324,12 +296,16 @@ class Polynomial:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json_terms(self):
-        """JSON-friendly list of {exponents, num, den} dicts."""
+        """JSON-friendly list of {exponents, num, den} dicts.
+
+        Lossless only: a coefficient that is not a ``Fraction`` raises
+        ``ValueError`` rather than being rounded to a nearby rational.
+        """
         out = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             if not isinstance(c, Fraction):
-                c = Fraction(float(c.real)).limit_denominator(10 ** 9)
+                raise ValueError("cannot write inexact coefficient %r as num/den" % (c,))
             out.append({"exponents": list(e), "num": c.numerator, "den": c.denominator})
         return out
 
@@ -392,18 +368,41 @@ def kelvin_harmonicize(q, m):
 
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over the rationals (Fraction matrices as lists of lists)
+# Linear algebra over the entries' own field (Fraction matrices exactly,
+# float matrices with one relative tolerance; matrices as lists of lists)
 # ---------------------------------------------------------------------------
 
+RTOL = 1e-9
+
+
+def zero_tolerance(rows):
+    """Largest magnitude that counts as zero among these entries.
+
+    0 when every entry is a ``Fraction`` (an exact zero test); otherwise
+    ``RTOL * max(1, max|v|)``.  The floor of 1 keeps a matrix of pure
+    rounding noise from being rescaled into apparent rank.
+    """
+    values = [v for row in rows for v in row]
+    if all(_is_exact(v) for v in values):
+        return 0
+    return RTOL * max(1.0, max(abs(v) for v in values))
+
+
 def rational_rref(rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    A = [[Fraction(x) for x in row] for row in rows]
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+
+    Integer entries become ``Fraction``s; float entries stay floats.  The
+    pivot of a column is its first remaining entry whose magnitude exceeds
+    ``zero_tolerance`` (0 for exact input).
+    """
+    A = [[_coerce(x) for x in row] for row in rows]
+    tol = zero_tolerance(A)
     nr = len(A)
     nc = len(A[0]) if nr else 0
     pivots = []
     r = 0
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if A[i][c] != 0), None)
+        piv = next((i for i in range(r, nr) if abs(A[i][c]) > tol), None)
         if piv is None:
             continue
         A[r], A[piv] = A[piv], A[r]

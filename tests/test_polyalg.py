@@ -7,7 +7,7 @@ import pytest
 
 from conftest import proportional, u1, u2, u3
 from hgptsym.polyalg import (Polynomial, kelvin_harmonicize, rational_nullspace,
-                             rational_rank, rational_rref, rational_solve)
+                             rational_rank, rational_rref, rational_solve, zero_tolerance)
 
 
 class TestArithmetic:
@@ -65,24 +65,31 @@ class TestComposeLinear:
     def test_rotation_substitution(self):
         R = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]  # x1 -> -x2, x2 -> x1
         p = u1
-        assert p.compose_linear(R, "x") == -u2
+        assert p.compose_linear(R) == -u2
 
     def test_homomorphism(self, rng):
         from conftest import random_rotation
         R1, R2 = random_rotation(rng), random_rotation(rng)
         p = (0.3 * u1 + u2 * u3) * u1
-        a = p.compose_linear(R1, "x").compose_linear(R2, "x")
-        b = p.compose_linear(R1 @ R2, "x")
+        a = p.compose_linear(R1).compose_linear(R2)
+        b = p.compose_linear(R1 @ R2)
         diff = a - b
         assert all(abs(float(c)) < 1e-12 for c in diff.terms.values())
 
-    def test_both_blocks(self):
-        R = [[Fraction(0), Fraction(1), Fraction(0)],
-             [Fraction(-1), Fraction(0), Fraction(0)],
-             [Fraction(0), Fraction(0), Fraction(1)]]
+    def test_octahedral_elements_agree_with_evaluation(self):
+        from hgptsym.symgroups import build_group
+        p = u1 ** 3 * u2 - Fraction(2, 3) * u2 * u3 ** 3 + 5 * u1 * u2 * u3 ** 2
+        pt = (Fraction(1, 2), Fraction(-3), Fraction(2, 7))
+        for R in build_group("O").exact_elements:
+            Rx = tuple(sum(R[i][j] * pt[j] for j in range(3)) for i in range(3))
+            composed = p.compose_linear(R)
+            assert composed.is_exact()
+            assert composed.evaluate(pt) == p.evaluate(Rx)
+
+    def test_six_variable_polynomial_raises(self):
         from conftest import prod
-        s = prod(u1, u2)
-        assert s.compose_linear(R, "both") == prod(u2, -u1)
+        with pytest.raises(ValueError):
+            prod(u1, u2).compose_linear(np.eye(3))
 
 
 class TestCanonicalization:
@@ -150,11 +157,37 @@ class TestRationalLinearAlgebra:
             rational_solve(A, B)
 
 
+class TestRrefOverFields:
+    def test_noise_matrix_has_no_pivots(self):
+        noise = np.random.default_rng(0).normal(scale=1e-17, size=(15, 15))
+        assert rational_rref(noise.tolist())[1] == []
+
+    def test_near_singular_float_matrix_has_one_pivot(self):
+        rref, pivots = rational_rref([[1.0, 2.0], [2.0, 4.0 + 1e-13]])
+        assert pivots == [0]
+        assert all(isinstance(v, float) for row in rref for v in row)
+
+    def test_integer_input_stays_exact(self):
+        rref, pivots = rational_rref([[2, 1, 0], [4, 3, 1]])
+        assert pivots == [0, 1]
+        assert all(type(v) is Fraction for row in rref for v in row)
+        assert rref[0] == [1, 0, Fraction(-1, 2)]
+
+    def test_exact_tolerance_is_zero(self):
+        assert zero_tolerance([[Fraction(1, 10 ** 30)]]) == 0
+        assert rational_rref([[Fraction(1, 10 ** 30)]])[1] == [0]
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         p = Fraction(3, 7) * u1 ** 2 * u2 - u3 ** 3
         q = Polynomial.from_json_terms(p.to_json_terms(), 3)
         assert p == q
+
+    @pytest.mark.parametrize("c", [0.1, 1 + 2j])
+    def test_json_refuses_inexact_coefficients(self, c):
+        with pytest.raises(ValueError):
+            (u1 + c * u2).to_json_terms()
 
     def test_text_formats(self):
         assert (2 * u3 ** 2 - u1 ** 2).to_text() == "-1*x1^2 + 2*x3^2"
