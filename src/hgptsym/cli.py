@@ -2,18 +2,18 @@
 
 Every subcommand emits either a human-readable table (default on a
 terminal) or a schema-versioned JSON document (default when piped);
-``--format`` overrides.  The environment variable ``HGPTSYM_TRACE_TOL``
-overrides the integer-rounding tolerance used for floating-point groups;
-it must be a number in (0, 0.5).
+``--format`` overrides.  The environment variable ``HGPTSYM_TRACE_TOL``,
+read on every call, overrides the integer-rounding tolerance used for
+floating-point groups; it must be a number in (0, 0.5).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -33,23 +33,21 @@ TABLE_GROUPS = ["C2", "C3", "C4", "C5", "C6",
 TABLE_CELLS = [(1, 1), (1, 2), (1, 3), (2, 2)]
 
 
-def _apply_env_tolerance():
+def _env_trace_tol():
+    """The integer-rounding tolerance: HGPTSYM_TRACE_TOL, or the library default."""
     v = os.environ.get("HGPTSYM_TRACE_TOL")
     if not v:
-        return
+        return invariants.TRACE_TOL
     try:
-        tol = float(v)
+        return invariants.check_trace_tol(float(v))
     except ValueError:
-        tol = math.nan
-    # a tolerance of 0.5 or more (or nan) would make the integer check vacuous
-    if not 0.0 < tol < 0.5:
-        raise ValueError("HGPTSYM_TRACE_TOL must be a number in (0, 0.5), got %r" % v)
-    invariants.TRACE_TOL = tol
+        raise ValueError("HGPTSYM_TRACE_TOL must be a number in (0, 0.5), got %r"
+                         % v) from None
 
 
 def _document(args, result):
     inputs = {k: v for k, v in vars(args).items()
-              if k not in ("func", "format") and v is not None}
+              if k not in ("func", "format", "trace_tol") and v is not None}
     return {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
             "inputs": inputs, "result": result}
 
@@ -139,7 +137,7 @@ def cmd_basis_change(args):
 
 def cmd_invariant_harmonics(args):
     g = symgroups.build_group(args.group)
-    inv = invariants.invariant_harmonics(g, args.degree, args.style)
+    inv = invariants.invariant_harmonics(g, args.degree, args.style, args.trace_tol)
     result = {"group": g.name, "degree": args.degree,
               "dimension": inv.dimension, "basis": _poly_texts(inv.basis)}
     lines = ["group %s, degree %d: dimension %d" % (g.name, args.degree, inv.dimension)]
@@ -151,7 +149,7 @@ def cmd_invariant_harmonics(args):
 def cmd_invariants(args):
     g = symgroups.build_group(args.group)
     space = invariants.symmetric_product_space(args.p, args.q, args.style)
-    inv = invariants.invariant_subspace(space, g)
+    inv = invariants.invariant_subspace(space, g, args.trace_tol)
     pat = invariants.coefficient_pattern(inv)
     result = {"group": g.name, "p": args.p, "q": args.q, "style": args.style,
               "dimension": inv.dimension, "basis": _poly_texts(inv.basis),
@@ -173,7 +171,7 @@ def cmd_invariants(args):
 
 def cmd_molien(args):
     g = symgroups.build_group(args.group)
-    ms = invariants.molien_series(g, args.max_degree)
+    ms = invariants.molien_series(g, args.max_degree, args.trace_tol)
     result = {"group": g.name, "max_degree": args.max_degree,
               "g": list(ms.g), "h": list(ms.h)}
     lines = ["group %s up to degree %d" % (g.name, args.max_degree),
@@ -212,7 +210,8 @@ def cmd_pattern_residual(args):
     rows = []
     for b in blocks:
         space = invariants.symmetric_product_space(b.p, b.q, b.basis_style)
-        pat = invariants.coefficient_pattern(invariants.invariant_subspace(space, g))
+        pat = invariants.coefficient_pattern(
+            invariants.invariant_subspace(space, g, args.trace_tol))
         _, res = hgpt.apply_pattern(b, pat)
         rows.append({"p": b.p, "q": b.q, "residual": res})
     result = {"group": g.name, "residuals": rows}
@@ -230,7 +229,7 @@ def cmd_regenerate_tables(args):
         g = symgroups.build_group(name)
         for (p, q) in TABLE_CELLS:
             space = invariants.symmetric_product_space(p, q)
-            inv = invariants.invariant_subspace(space, g)
+            inv = invariants.invariant_subspace(space, g, args.trace_tol)
             golden = GOLDEN_DIMS.get(name, {}).get((p, q))
             if golden is not None and inv.dimension != golden:
                 failures.append("%s (%d,%d): computed %d, table says %d"
@@ -317,11 +316,13 @@ def build_parser():
     return parser
 
 
+_parser = cache(build_parser)   # one parser per process; parse_args keeps no state
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        _apply_env_tolerance()
+        args.trace_tol = _env_trace_tol()
         return args.func(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -275,10 +275,19 @@ class InvariantSubspace:
     monomial_rows: tuple         # rows over space.monomials (same scaling)
 
 
-def _integer(v, what):
-    """``v`` as an int: exactly for a Fraction, within TRACE_TOL for a float."""
+def check_trace_tol(trace_tol):
+    """``trace_tol`` if it lies in (0, 0.5): nan or 0.5 and more would make
+    the integer check vacuous."""
+    if not 0.0 < trace_tol < 0.5:
+        raise ValueError("trace tolerance must be a number in (0, 0.5), got %r"
+                         % (trace_tol,))
+    return trace_tol
+
+
+def _integer(v, what, trace_tol):
+    """``v`` as an int: exactly for a Fraction, within trace_tol for a float."""
     n = round(v)
-    if abs(v - n) > (0 if isinstance(v, _F) else TRACE_TOL):
+    if abs(v - n) > (0 if isinstance(v, _F) else trace_tol):
         raise RuntimeError("%s %s is not an integer" % (what, v))
     return int(n)
 
@@ -295,10 +304,14 @@ def _select_independent_rows(M, m):
     return pivots
 
 
-def invariant_subspace(space, group):
-    """Dimension and canonical basis of the subspace fixed by the group."""
+def invariant_subspace(space, group, trace_tol=TRACE_TOL):
+    """Dimension and canonical basis of the subspace fixed by the group.
+
+    A float projector's trace must lie within ``trace_tol`` of an integer.
+    """
+    check_trace_tol(trace_tol)
     M = np.asarray(averaging_projector(space, group))   # Fractions -> object dtype
-    m = _integer(M.trace(), "projector trace")
+    m = _integer(M.trace(), "projector trace", trace_tol)
     if m == 0:
         return InvariantSubspace(space, group.name, 0, (), (), ())
     # rows of M_pi applied to the basis, in basis and in monomial coordinates;
@@ -411,15 +424,19 @@ def _char_poly_series(R, M_max):
     return s
 
 
-def molien_series(group, M_max):
-    """Truncated Molien series g and harmonic series h = (1 - t^2) g."""
+def molien_series(group, M_max, trace_tol=TRACE_TOL):
+    """Truncated Molien series g and harmonic series h = (1 - t^2) g.
+
+    Float coefficients must lie within ``trace_tol`` of an integer.
+    """
+    check_trace_tol(trace_tol)
     if M_max < 0:
         raise ValueError("max degree must be non-negative, got %d" % M_max)
     elements = group.exact_elements if group.is_rational else group.elements
     series = [_char_poly_series(E, M_max) for E in elements]
     g = []
     for total in map(sum, zip(*series)):
-        v = _integer(total / group.order, "Molien coefficient")
+        v = _integer(total / group.order, "Molien coefficient", trace_tol)
         if v < 0:
             raise RuntimeError("negative Molien coefficient %d" % v)
         g.append(v)
@@ -427,11 +444,11 @@ def molien_series(group, M_max):
     return MolienSeries(group.name, M_max, tuple(g), tuple(h))
 
 
-def invariant_harmonics(group, m, style="integer"):
+def invariant_harmonics(group, m, style="integer", trace_tol=TRACE_TOL):
     """Fixed harmonic polynomials of degree m; cross-validated against h_m."""
     space = harmonic_space(m, style)
-    inv = invariant_subspace(space, group)
-    h_m = molien_series(group, m).h[m]
+    inv = invariant_subspace(space, group, trace_tol)
+    h_m = molien_series(group, m, trace_tol).h[m]
     if inv.dimension != h_m:
         raise RuntimeError(
             "fixed-space dimension %d disagrees with series count %d at degree %d"

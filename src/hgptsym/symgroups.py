@@ -19,6 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -33,9 +34,16 @@ J_MATRIX = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 @dataclass(frozen=True)
 class PointGroup:
     name: str
-    elements: tuple            # tuple of 3x3 np.ndarray
-    generators: tuple
+    elements: tuple            # tuple of read-only 3x3 float arrays, rows of ``stack``
+    generators: tuple          # tuple of read-only 3x3 float arrays
     exact_elements: tuple | None = None  # matching tuple of Fraction matrices
+    stack: np.ndarray = field(init=False, repr=False, compare=False)  # (order, 3, 3)
+
+    def __post_init__(self):
+        # read-only float copies: a memoised group is shared by every caller
+        object.__setattr__(self, "stack", _readonly(self.elements))
+        object.__setattr__(self, "elements", tuple(self.stack))
+        object.__setattr__(self, "generators", tuple(_readonly(self.generators)))
 
     @property
     def order(self):
@@ -101,30 +109,47 @@ def _icosahedral_generators():
 # closure enumeration
 # ---------------------------------------------------------------------------
 
+def _readonly(matrices):
+    a = np.array(matrices, dtype=float).reshape(-1, 3, 3)
+    a.flags.writeable = False
+    return a
+
+
+def _distances(P, E):
+    """(len(P), len(E)) max-abs distances between two stacks of 3x3 matrices."""
+    P = np.reshape(np.asarray(P, dtype=float), (-1, 9))
+    E = np.reshape(np.asarray(E, dtype=float), (-1, 9))
+    d = np.zeros((len(P), len(E)))
+    for k in range(9):          # entry by entry: only (len(P), len(E)) arrays
+        np.maximum(d, np.abs(P[:, k, None] - E[None, :, k]), out=d)
+    return d
+
+
+def _nearest(P, E):
+    """Distance from each matrix in P to its nearest one in E (inf if E is empty)."""
+    return _distances(P, E).min(axis=1, initial=np.inf)
+
+
 def _contains(elements, M, tol=MATCH_TOL):
-    for E in elements:
-        if np.max(np.abs(E - M)) < tol:
-            return True
-    return False
+    return bool(_nearest(M, elements)[0] < tol)
 
 
 def _close_float(generators, max_order=MAX_ORDER):
-    elems = [np.eye(3)]
-    frontier = [np.eye(3)]
+    elems = np.empty((max_order, 3, 3))
+    elems[0] = np.eye(3)
     gens = [np.asarray(g, dtype=float) for g in generators]
-    while frontier:
-        nxt = []
-        for E in frontier:
-            for g in gens:
-                P = g @ E
-                if not _contains(elems, P):
-                    elems.append(P)
-                    nxt.append(P)
-                    if len(elems) > max_order:
-                        raise ValueError(
-                            "closure exceeded %d elements; bad group spec" % max_order)
-        frontier = nxt
-    return elems
+    i, n = 0, 1
+    while i < n:                # breadth first: elements in the order found
+        for g in gens:
+            P = g @ elems[i]
+            if not _contains(elems[:n], P):
+                if n == max_order:
+                    raise ValueError(
+                        "closure exceeded %d elements; bad group spec" % max_order)
+                elems[n] = P
+                n += 1
+        i += 1
+    return elems[:n]
 
 
 def _close_exact(generators, max_order=MAX_ORDER):
@@ -136,44 +161,33 @@ def _close_exact(generators, max_order=MAX_ORDER):
 
     seen = {ident}
     order = [ident]
-    frontier = [ident]
     gens = [tuple(tuple(_F(v) for v in row) for row in g) for g in generators]
-    while frontier:
-        nxt = []
-        for E in frontier:
-            for g in gens:
-                P = mul(g, E)
-                if P not in seen:
-                    seen.add(P)
-                    order.append(P)
-                    nxt.append(P)
-                    if len(order) > max_order:
-                        raise ValueError(
-                            "closure exceeded %d elements; bad group spec" % max_order)
-        frontier = nxt
+    for E in order:             # breadth first: the loop visits appended elements too
+        for g in gens:
+            P = mul(g, E)
+            if P not in seen:
+                seen.add(P)
+                order.append(P)
+                if len(order) > max_order:
+                    raise ValueError(
+                        "closure exceeded %d elements; bad group spec" % max_order)
     return order
 
 
 def _group_from_exact(name, exact_gens, expected_order=None):
-    exact = _close_exact(exact_gens)
-    elems = tuple(np.array([[float(v) for v in row] for row in E]) for E in exact)
-    gens = tuple(np.array([[float(v) for v in row] for row in g]) for g in exact_gens)
-    g = PointGroup(name, elems, gens, tuple(exact))
-    _check_expected(g, expected_order)
-    return g
+    exact = tuple(_close_exact(exact_gens))
+    return _check_expected(PointGroup(name, exact, exact_gens, exact), expected_order)
 
 
 def _group_from_float(name, gens, expected_order=None):
-    elems = tuple(_close_float(gens))
-    g = PointGroup(name, elems, tuple(np.asarray(x, dtype=float) for x in gens))
-    _check_expected(g, expected_order)
-    return g
+    return _check_expected(PointGroup(name, _close_float(gens), gens), expected_order)
 
 
 def _check_expected(g, expected_order):
     if expected_order is not None and g.order != expected_order:
         raise RuntimeError("group %s has order %d, expected %d"
                            % (g.name, g.order, expected_order))
+    return g
 
 
 def group_from_generators(name, generators, exact=False):
@@ -188,20 +202,14 @@ def group_from_generators(name, generators, exact=False):
 # ---------------------------------------------------------------------------
 
 def _base_group(family, n):
-    if family == "C":
+    if family in ("C", "D"):
         if n < 1:
-            raise ValueError("cyclic order must be >= 1")
-        if n in (1, 2, 4):
-            return _group_from_exact("C%d" % n, [_rot_z(1, n)], n)
-        return _group_from_float("C%d" % n, [_rot_z(1, n)], n)
-    if family == "D":
-        if n < 1:
-            raise ValueError("dihedral order must be >= 1")
-        if n in (1, 2, 4):
-            return _group_from_exact("D%d" % n, [_rot_z(1, n), _ROT2_X1], 2 * n)
-        return _group_from_float("D%d" % n,
-                                 [np.array(_rot_z(1, n)),
-                                  np.array(_ROT2_X1, dtype=float)], 2 * n)
+            raise ValueError("%s order must be >= 1"
+                             % ("cyclic" if family == "C" else "dihedral"))
+        make = _group_from_exact if n in (1, 2, 4) else _group_from_float
+        if family == "C":
+            return make("C%d" % n, [_rot_z(1, n)], n)
+        return make("D%d" % n, [_rot_z(1, n), _ROT2_X1], 2 * n)
     if family == "T":
         return _group_from_exact("T", [_ROT2_X1, _CYCLE_XYZ], 12)
     if family == "O":
@@ -214,7 +222,7 @@ def _base_group(family, n):
 def adjoin_inversion(g):
     """Type-2 extension: adjoin the central inversion J."""
     J = np.array(J_MATRIX, dtype=float)
-    elems = tuple(g.elements) + tuple(J @ E for E in g.elements)
+    elems = np.concatenate([g.stack, J @ g.stack])
     exact = None
     if g.exact_elements is not None:
         exact = tuple(g.exact_elements) + tuple(
@@ -231,28 +239,29 @@ def type3_group(g2, g1):
     if 2 * g1.order != g2.order:
         raise ValueError("G1 is not an index-2 subgroup of G2 (orders %d, %d)"
                          % (g1.order, g2.order))
-    for E in g1.elements:
-        if not _contains(g2.elements, E):
-            raise ValueError("G1 is not a subgroup of G2")
+    if not np.all(_nearest(g1.stack, g2.stack) < MATCH_TOL):
+        raise ValueError("G1 is not a subgroup of G2")
     J = np.array(J_MATRIX, dtype=float)
-    coset = [E for E in g2.elements if not _contains(g1.elements, E)]
-    elems = tuple(g1.elements) + tuple(J @ E for E in coset)
+    coset = J @ g2.stack[~(_nearest(g2.stack, g1.stack) < MATCH_TOL)]
+    elems = np.concatenate([g1.stack, coset])
     exact = None
     if g1.exact_elements is not None and g2.exact_elements is not None:
         g1set = set(g1.exact_elements)
-        coset_x = [E for E in g2.exact_elements if E not in g1set]
         exact = tuple(g1.exact_elements) + tuple(
-            tuple(tuple(-x for x in row) for row in E) for E in coset_x)
+            tuple(tuple(-x for x in row) for row in E)
+            for E in g2.exact_elements if E not in g1set)
     name = "type3:%s/%s" % (g2.name, g1.name)
-    return PointGroup(name, elems, g1.generators + (J @ coset[0],), exact)
+    return PointGroup(name, elems, g1.generators + (coset[0],), exact)
 
 
-_NAME_RE = re.compile(r"^([CD])(\d+)(i?)$|^([TOI])(i?)$")
+_NAME_RE = re.compile(r"^(?:([CD])(\d+)|([TOI]))(i?)$")
 
 
+@cache
 def build_group(name):
     """Build a named group: C<n>, D<n>, T, O, I, suffix 'i' for Type 2,
-    or 'type3:<G2>/<G1>' for Type 3."""
+    or 'type3:<G2>/<G1>' for Type 3.  Built once per name; the arrays are
+    read-only."""
     name = name.strip()
     if name.startswith("type3:"):
         spec = name[len("type3:"):]
@@ -263,13 +272,8 @@ def build_group(name):
     m = _NAME_RE.match(name)
     if not m:
         raise ValueError("unknown group name %r" % name)
-    if m.group(1):
-        g = _base_group(m.group(1), int(m.group(2)))
-        inv = m.group(3) == "i"
-    else:
-        g = _base_group(m.group(4), 0)
-        inv = m.group(5) == "i"
-    return adjoin_inversion(g) if inv else g
+    g = _base_group(m.group(1) or m.group(3), int(m.group(2) or 0))
+    return adjoin_inversion(g) if m.group(4) else g
 
 
 EXPECTED_ORDERS = {"C": lambda n: n, "D": lambda n: 2 * n,
@@ -281,41 +285,32 @@ EXPECTED_ORDERS = {"C": lambda n: n, "D": lambda n: 2 * n,
 # ---------------------------------------------------------------------------
 
 def verify_group(g, tol=MATCH_TOL):
-    """Check orthogonality, identity, closure and inverses; report residuals."""
+    """Check orthogonality, identity, closure and inverses; report residuals.
+
+    The closure residual is the largest distance from a product A B, or an
+    inverse A^T, to its nearest element.  Each row A of the multiplication
+    table is compared with all elements in one array operation: O(|G|^2)
+    matrix products in O(|G|^2) memory.
+    """
     failures = []
-    elems = [np.asarray(E, dtype=float) for E in g.elements]
-    max_orth = 0.0
-    for k, E in enumerate(elems):
-        r = float(np.max(np.abs(E.T @ E - np.eye(3))))
-        max_orth = max(max_orth, r)
-        if r > 1e-9:
-            failures.append("element %d not orthogonal (residual %.3g)" % (k, r))
-    if not _contains(elems, np.eye(3), tol):
+    S = g.stack
+    orth = np.abs(S.transpose(0, 2, 1) @ S - np.eye(3)).max(axis=(1, 2), initial=0.0)
+    for k in np.flatnonzero(orth > 1e-9):
+        failures.append("element %d not orthogonal (residual %.3g)" % (k, orth[k]))
+    if not _contains(S, np.eye(3), tol):
         failures.append("identity missing")
-    max_close = 0.0
-    for A in elems:
-        for B in elems:
-            P = A @ B
-            d = min(float(np.max(np.abs(P - E))) for E in elems)
-            max_close = max(max_close, d)
-        dinv = min(float(np.max(np.abs(A.T - E))) for E in elems)
-        max_close = max(max_close, dinv)
+    max_close = float(max([_nearest(S.transpose(0, 2, 1), S).max(initial=0.0)]
+                          + [_nearest(A @ S, S).max() for A in S]))
     if max_close > tol:
         failures.append("closure/inverse residual %.3g exceeds %.3g" % (max_close, tol))
-    # duplicate detection
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            if np.max(np.abs(elems[i] - elems[j])) < tol:
-                failures.append("duplicate elements %d and %d" % (i, j))
+    for i, j in np.argwhere(np.triu(_distances(S, S) < tol, 1)):
+        failures.append("duplicate elements %d and %d" % (i, j))
     expected = None
     m = _NAME_RE.match(g.name)
     if m:
-        fam = m.group(1) or m.group(4)
-        n = int(m.group(2)) if m.group(2) else 0
-        expected = EXPECTED_ORDERS[fam](n)
-        if (m.group(3) == "i") or (m.group(5) == "i"):
-            expected *= 2
+        expected = EXPECTED_ORDERS[m.group(1) or m.group(3)](int(m.group(2) or 0))
+        expected *= 2 if m.group(4) else 1
         if g.order != expected:
             failures.append("order %d, expected %d" % (g.order, expected))
-    return GroupReport(g.name, g.order, expected, not failures, max_orth,
-                       max_close, failures)
+    return GroupReport(g.name, g.order, expected, not failures,
+                       float(orth.max(initial=0.0)), max_close, failures)

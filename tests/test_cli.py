@@ -14,6 +14,20 @@ def run(capsys, argv):
     return code, out, err
 
 
+def record_trace_tol(monkeypatch):
+    """Trace tolerances the CLI hands to molien_series, one per call."""
+    from hgptsym import invariants
+    seen = []
+    real = invariants.molien_series
+
+    def spy(group, M_max, trace_tol=invariants.TRACE_TOL):
+        seen.append(trace_tol)
+        return real(group, M_max, trace_tol)
+
+    monkeypatch.setattr(invariants, "molien_series", spy)
+    return seen
+
+
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert code == 0, err
@@ -34,6 +48,18 @@ class TestSchema:
         code2, out2, _ = run(capsys, argv)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_parser_built_once_and_defaults_do_not_carry_over(self, capsys):
+        base = ["invariants", "--group", "C4", "--p", "1", "--q", "1"]
+        first = run_json(capsys, base + ["--style", "orthonormal"])
+        code, table, _ = run(capsys, base + ["--format", "table"])
+        assert code == 0 and table.startswith("p  q  dim")
+        code, out, _ = run(capsys, base)     # no --format: json when not a tty
+        second = json.loads(out)
+        assert code == 0
+        assert first["inputs"]["style"] == "orthonormal"
+        assert second["inputs"]["style"] == "integer"
+        assert cli._parser() is cli._parser()
 
 
 class TestSubcommands:
@@ -133,15 +159,24 @@ class TestErrors:
 
     def test_env_tolerance_override(self, capsys, monkeypatch):
         from hgptsym import invariants
+        seen = record_trace_tol(monkeypatch)
         monkeypatch.setenv("HGPTSYM_TRACE_TOL", "1e-3")
-        old = invariants.TRACE_TOL
-        try:
-            code, _, _ = run(capsys, ["molien", "--group", "C3",
-                                      "--max-degree", "2", "--format", "json"])
-            assert code == 0
-            assert invariants.TRACE_TOL == 1e-3
-        finally:
-            invariants.TRACE_TOL = old
+        code, _, _ = run(capsys, ["molien", "--group", "C3",
+                                  "--max-degree", "2", "--format", "json"])
+        assert code == 0
+        assert seen == [1e-3]
+        assert invariants.TRACE_TOL == 1e-6
+
+    def test_env_tolerance_does_not_leak(self, capsys, monkeypatch):
+        seen = record_trace_tol(monkeypatch)
+        argv = ["molien", "--group", "C3", "--max-degree", "2", "--format", "json"]
+        monkeypatch.setenv("HGPTSYM_TRACE_TOL", "0.1")
+        code1, out1, _ = run(capsys, argv)
+        monkeypatch.delenv("HGPTSYM_TRACE_TOL")
+        code2, out2, _ = run(capsys, argv)
+        assert code1 == code2 == 0 and out1 == out2
+        assert seen == [0.1, 1e-6]
+        assert "trace_tol" not in json.loads(out2)["inputs"]
 
     @pytest.mark.parametrize("value", ["nan", "-1e-3", "abc", "inf", "0.5"])
     def test_env_tolerance_rejected(self, capsys, monkeypatch, value):

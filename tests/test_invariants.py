@@ -225,6 +225,42 @@ class TestMolien:
             assert b.laplacian().is_zero()
 
 
+class TestTraceTolerance:
+    @staticmethod
+    def almost_c1():
+        # {I, R} with R a rotation by 0.01 rad is no group: its averaged trace on
+        # degree-1 harmonics and its degree-1 Molien coefficient are 3 - 5e-5
+        c, s = np.cos(0.01), np.sin(0.01)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return sg.PointGroup("almost C1", (np.eye(3), R), (R,))
+
+    def test_default_rejects_a_near_integer_trace(self):
+        g = self.almost_c1()
+        with pytest.raises(RuntimeError, match="not an integer"):
+            inv.invariant_subspace(inv.harmonic_space(1), g)
+        with pytest.raises(RuntimeError, match="not an integer"):
+            inv.molien_series(g, 1)
+
+    def test_explicit_tolerance_is_used(self):
+        g = self.almost_c1()
+        assert inv.invariant_subspace(inv.harmonic_space(1), g, 1e-3).dimension == 3
+        assert inv.molien_series(g, 1, trace_tol=1e-3).g == (1, 3)
+        assert inv.invariant_harmonics(g, 1, trace_tol=1e-3).dimension == 3
+        # nothing is left behind: the next call uses the default again
+        with pytest.raises(RuntimeError):
+            inv.molien_series(g, 1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, 0.5, 2.0, float("nan"), float("inf")])
+    def test_out_of_range_rejected(self, bad):
+        g = sg.build_group("C3")
+        with pytest.raises(ValueError, match="trace tolerance"):
+            inv.invariant_subspace(inv.harmonic_space(1), g, bad)
+        with pytest.raises(ValueError, match="trace tolerance"):
+            inv.molien_series(g, 2, bad)
+        with pytest.raises(ValueError, match="trace tolerance"):
+            inv.invariant_harmonics(g, 2, trace_tol=bad)
+
+
 class TestCoefficientPattern:
     def test_c4_pattern(self):
         g = sg.build_group("C4")

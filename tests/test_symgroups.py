@@ -114,3 +114,118 @@ class TestGenerators:
         phi = (1 + np.sqrt(5)) / 2
         traces = {round(float(np.trace(np.asarray(E))), 6) for E in g}
         assert traces == {3.0, -1.0, 0.0, round(phi, 6), round(1 - phi, 6)}
+
+
+# the 32 crystallographic point groups: name -> (order, proper rotations)
+TYPE1 = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6,
+         "D2": 4, "D3": 6, "D4": 8, "D6": 12, "T": 12, "O": 24}
+TYPE3 = ["C2/C1", "C4/C2", "C6/C3", "D2/C2", "D3/C3",
+         "D4/C4", "D6/C6", "D4/D2", "D6/D3", "O/T"]
+CRYSTALLOGRAPHIC = {**{n: (k, k) for n, k in TYPE1.items()},
+                    **{n + "i": (2 * k, k) for n, k in TYPE1.items()},
+                    **{"type3:" + s: (TYPE1[s.split("/")[0]], TYPE1[s.split("/")[1]])
+                       for s in TYPE3}}
+
+
+class TestCrystallographicGrid:
+    def test_there_are_32(self):
+        assert len(CRYSTALLOGRAPHIC) == 32
+
+    @pytest.mark.parametrize("name", sorted(CRYSTALLOGRAPHIC))
+    def test_order_rotations_and_verification(self, name):
+        order, proper = CRYSTALLOGRAPHIC[name]
+        g = sg.build_group(name)
+        assert g.order == order
+        dets = [round(float(np.linalg.det(E))) for E in g]
+        assert dets.count(1) == proper and dets.count(-1) == order - proper
+        report = sg.verify_group(g)
+        assert report.passed, report.failures
+
+
+def brute_force_residuals(g):
+    """O(|G|^3) reference: the largest |E^T E - I| entry, and the largest
+    distance from a product A B or an inverse A^T to its nearest element."""
+    elems = [np.array(E) for E in g.elements]
+    orth = max(np.max(np.abs(E.T @ E - np.eye(3))) for E in elems)
+    close = 0.0
+    for A in elems:
+        for P in [A @ B for B in elems] + [A.T]:
+            close = max(close, min(np.max(np.abs(P - E)) for E in elems))
+    return orth, close
+
+
+class TestVerification:
+    @pytest.mark.parametrize("name", ["C4", "D6", "O", "I", "type3:O/T"])
+    def test_residuals_match_brute_force(self, name):
+        g = sg.build_group(name)
+        report = sg.verify_group(g)
+        orth, close = brute_force_residuals(g)
+        assert abs(report.max_orthogonality_residual - orth) <= 1e-15
+        assert abs(report.max_closure_residual - close) <= 1e-15
+
+    def test_missing_rotation_fails_closure(self):
+        c4 = sg.build_group("C4")
+        report = sg.verify_group(sg.PointGroup("C4", c4.elements[:3], c4.generators))
+        assert not report.passed
+        assert report.failures == ["closure/inverse residual 1 exceeds 1e-09",
+                                   "order 3, expected 4"]
+        assert report.max_closure_residual == 1.0
+
+    def test_duplicate_element(self):
+        c4 = sg.build_group("C4")
+        g = sg.PointGroup("C4 with a repeat", c4.elements + c4.elements[1:2], c4.generators)
+        report = sg.verify_group(g)
+        assert report.failures == ["duplicate elements 1 and 4"]
+        assert not report.passed and report.max_closure_residual == 0.0
+
+    def test_non_orthogonal_element(self):
+        g = sg.PointGroup("C2", (np.eye(3), np.diag([1.0, -1.0, -1.0]) * (1 + 1e-6)), ())
+        report = sg.verify_group(g)
+        assert report.failures == ["element 1 not orthogonal (residual 2e-06)",
+                                   "closure/inverse residual 2e-06 exceeds 1e-09"]
+        assert report.max_orthogonality_residual == pytest.approx(2e-6, rel=1e-6)
+
+    def test_identity_missing(self):
+        g = sg.PointGroup("C2 without identity", sg.build_group("C2").elements[1:], ())
+        report = sg.verify_group(g)
+        assert report.failures == ["identity missing",
+                                   "closure/inverse residual 2 exceeds 1e-09"]
+
+
+class TestMemoisation:
+    def test_built_once(self):
+        assert sg.build_group("O") is sg.build_group("O")
+        assert sg.build_group("type3:O/T") is sg.build_group("type3:O/T")
+
+    def test_arrays_are_read_only(self):
+        g = sg.build_group("O")
+        for arrays in (g.elements, g.generators, (g.stack,)):
+            with pytest.raises(ValueError):
+                arrays[0][0, 0] = 2.0
+        assert g.elements[0][0, 0] == 1.0
+
+    def test_errors_are_not_cached(self):
+        size = sg.build_group.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sg.build_group("Q4")
+        assert sg.build_group.cache_info().currsize == size
+
+    def test_extensions_leave_memoised_inputs_alone(self):
+        o, t = sg.build_group("O"), sg.build_group("T")
+        before = (o.stack.copy(), t.stack.copy(), o.exact_elements, t.exact_elements)
+        oi = sg.adjoin_inversion(o)
+        o_t = sg.type3_group(o, t)
+        assert oi.order == 48 and o_t.order == 24
+        assert np.array_equal(oi.stack[:24], o.stack)
+        assert np.array_equal(o_t.stack[:12], t.stack)
+        assert np.array_equal(o.stack, before[0]) and np.array_equal(t.stack, before[1])
+        assert (o.exact_elements, t.exact_elements) == before[2:]
+        assert sg.verify_group(oi).passed and sg.verify_group(o_t).passed
+
+    def test_caller_arrays_stay_writable(self):
+        R = np.diag([1.0, -1.0, -1.0])
+        g = sg.group_from_generators("flip", [R])
+        assert R.flags.writeable
+        R[0, 0] = 5.0
+        assert g.generators[0][0, 0] == 1.0
