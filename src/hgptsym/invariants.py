@@ -14,6 +14,15 @@ space basis and the group are rational (C2, C4, D4, T, O, ...), float
 otherwise (C3, C5, C6, icosahedral, ...).  Every later step follows the
 field of the projector: exact zero tests on Fractions, one relative
 tolerance on floats (``polyalg.zero_tolerance``).
+
+Group actions are stacked.  Each space holds a left inverse L of a fixed
+matrix A (its basis at sample points for floats, its coefficient matrix
+for Fractions), so D(R) = (L F(R))^T for the composed values F(R), with
+the residual A D(R)^T - F(R) checked for every element.  The stack D(G),
+of shape (|G|, d, d), is built once per (space, group) and kept
+read-only on the space.  On S_pq the projector is one contraction of the
+flattened stacks D_p(G) and D_q(G) over the element axis, the mean
+Kronecker product, folded onto the symmetric pairs once.
 """
 
 from __future__ import annotations
@@ -23,11 +32,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .harmonics import monomials_of_degree, real_basis
-from .polyalg import Polynomial, rational_rref, rational_solve, zero_tolerance
+from .polyalg import Polynomial, rational_rref, zero_tolerance
 
 _F = Fraction
 
@@ -72,6 +82,44 @@ class RepresentationSpace:
     def coefficients(self):
         """``B`` as a read-only float array."""
         return _read_only(np.array([[float(c) for c in row] for row in self.B]))
+
+    @cached_property
+    def float_solver(self):
+        """Fixed matrix A = V B^T (the basis at the sample points) and its
+        pseudo-inverse L; the rank check runs here, once per space."""
+        _, V = _sample_values(self.monomials)
+        A = V @ self.coefficients.T
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        if np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps) < self.dim:
+            raise RuntimeError("basis is rank-deficient")
+        return _Solver(_read_only(A), _read_only((Vt.T / s) @ U.T), slice(None))
+
+    @cached_property
+    def exact_solver(self):
+        """Fixed matrix A = B^T and the inverse L of its rows at the pivot
+        monomials of B, both from one row reduction of [B | I]."""
+        m = len(self.monomials)
+        eye = [[_F(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
+        rref, pivots = rational_rref([list(row) + e for row, e in zip(self.B, eye)])
+        rows = [c for c in pivots if c < m]
+        if len(rows) < self.dim:
+            raise RuntimeError("basis is rank-deficient")
+        L = np.array([row[m:] for row in rref], dtype=object).T
+        return _Solver(_read_only(np.array(self.B, dtype=object).T), _read_only(L),
+                       _read_only(np.array(rows)))
+
+    @cached_property
+    def action_stacks(self):
+        """Memo of ``action_stack``: (group, exact) -> read-only D(G)."""
+        return {}
+
+
+class _Solver(NamedTuple):
+    """Left inverse of a space's fixed matrix: D(R)^T = L F(R)[rows]."""
+
+    A: np.ndarray
+    L: np.ndarray
+    rows: object
 
 
 def _read_only(a):
@@ -182,80 +230,130 @@ def _monomial_values(X, monomials):
     return np.prod(X[:, None, :] ** np.array(monomials)[None, :, :], axis=2)
 
 
-def _harmonic_action(space, R, exact_R=None):
-    """D(R) on a 3-variable space: row i holds basis[i] o R in the basis.
+def _composed_values(space, R, exact):
+    """F(R): the basis composed with R, in the coordinates of the solver.
 
-    Exact: compose each basis polynomial with ``exact_R`` and solve over
-    the rationals.  Float: basis(R X) = D basis(X) at the fixed sample
-    points X, solved by least squares; the rank check and the residual
-    relative to the value scale prove basis o R lies in the span.
+    Exact: rows of ``basis[i] o R`` over the monomials, transposed (monomials
+    x basis).  Float: the basis at the rotated sample points R X.
     """
-    if exact_R is not None and space.is_exact:
-        composed = [b.compose_linear(exact_R) for b in space.basis]
-        rows = _coeff_rows(composed, space.monomials)
-        Dt = rational_solve(list(zip(*space.B)), list(zip(*rows)))
-        return np.array(Dt, dtype=object).T
-    X, V = _sample_values(space.monomials)
-    Bt = space.coefficients.T
-    G = V @ Bt                                            # basis at X
-    F = _monomial_values(X @ np.asarray(R, dtype=float).T, space.monomials) @ Bt
-    Dt, _, rank, _ = np.linalg.lstsq(G, F, rcond=None)
-    if rank < space.dim:
-        raise RuntimeError("basis is rank-deficient")
-    resid = float(np.max(np.abs(G @ Dt - F))) / max(float(np.max(np.abs(F))), 1e-300)
-    if resid > SOLVE_TOL:
-        raise RuntimeError("composed polynomial not in the span (residual %g)" % resid)
-    return Dt.T
+    if exact:
+        composed = [b.compose_linear(R) for b in space.basis]
+        return np.array(_coeff_rows(composed, space.monomials), dtype=object).T
+    X, _ = _sample_values(space.monomials)
+    return _monomial_values(X @ R.T, space.monomials) @ space.coefficients.T
 
 
-def _fold(Dp, Dq, symmetric):
-    """pi(R) on S_pq from D_p(R) and D_q(R), in ``index_map`` order.
+def _harmonic_actions(space, elements, exact):
+    """Stack of D(R) for R in ``elements`` on a 3-variable space, (n, d, d).
+
+    Row i of D(R) holds basis[i] o R in the basis.  With A and its left
+    inverse L from the space's solver, D(R)^T = L F(R); the residual
+    A D(R)^T - F(R), which proves basis o R lies in the span, is checked for
+    every element: exactly zero for Fractions, within ``SOLVE_TOL`` of the
+    value scale for floats.
+    """
+    A, L, rows = space.exact_solver if exact else space.float_solver
+    D = np.empty((len(elements), space.dim, space.dim), dtype=A.dtype)
+    for k, R in enumerate(elements):
+        F = _composed_values(space, R if exact else np.asarray(R, dtype=float), exact)
+        Dt = L @ F[rows]
+        resid = np.abs(A @ Dt - F).max() / max(np.abs(F).max(), 1e-300)
+        if resid > (0 if exact else SOLVE_TOL):
+            raise RuntimeError("composed polynomial not in the span (residual %g)" % resid)
+        D[k] = Dt.T
+    return D
+
+
+def action_stack(space, group, exact=True):
+    """D(G), the read-only (|G|, d, d) stack of ``group``'s actions on a
+    harmonic space, element order as in ``group.elements``.
+
+    Exact when ``exact`` is true and the space basis and the group are
+    rational.  Built once per (space, group, field) and kept on the space.
+    """
+    if space.kind != "harmonic":
+        raise ValueError("action stacks are built on harmonic spaces")
+    exact = exact and space.is_exact and group.is_rational
+    key = (group, exact)
+    if key not in space.action_stacks:
+        elements = group.exact_elements if exact else group.elements
+        space.action_stacks[key] = _read_only(_harmonic_actions(space, elements, exact))
+    return space.action_stacks[key]
+
+
+def _fold(K, symmetric):
+    """pi on S_pq, in ``index_map`` order, from K[i, j, k, l] = Dp[i, k] Dq[j, l].
 
     p != q: the Kronecker product.  p == q: row (i, j), i < j, is
-    D[i,k] D[j,l] + D[j,k] D[i,l] over pairs k <= l; row (i, i) is
-    D[i,k] D[i,l].
+    K[i, j, k, l] + K[j, i, k, l] over pairs k <= l; row (i, i) is
+    K[i, i, k, l].  Linear in K, so it folds a mean of such products too.
     """
-    K = np.kron(Dp, Dq)
+    a, b = K.shape[:2]
     if not symmetric:
-        return K
-    n = Dp.shape[0]
-    K = K.reshape(n, n, n, n)          # K[i, j, k, l] = D[i, k] D[j, l]
-    iu, ju = np.triu_indices(n)
+        return K.reshape(a * b, a * b)
+    iu, ju = np.triu_indices(a)
     P = K[iu, ju][:, iu, ju]
     off = iu != ju
     P[off] += K[ju[off], iu[off]][:, iu, ju]
     return P
 
 
+def _mean_action(space, actions):
+    """(1/n) sum_R pi(R) on ``space``, from the (n, d, d) stacks that
+    ``actions(harmonic space)`` returns.
+
+    On S_pq the mean Kronecker product of D_p and D_q is one contraction
+    over the element axis; it is folded onto the symmetric pairs once.
+    """
+    if space.kind == "harmonic":
+        D = actions(space)
+        return D.sum(axis=0) / len(D)
+    Dp = actions(harmonic_space(space.p, space.style))
+    Dq = Dp if space.q == space.p else actions(harmonic_space(space.q, space.style))
+    n, a, _ = Dp.shape
+    b = Dq.shape[1]
+    P, Q, scale = Dp.reshape(n, a * a), Dq.reshape(n, b * b), n
+    if P.dtype == object:       # Fractions: contract integer numerators, divide once
+        (P, dp), (Q, dq) = _integers(P), _integers(Q)
+        scale = _F(n * dp * dq)
+    K = (P.T @ Q) / scale                                       # [(i, k), (j, l)]
+    return _fold(K.reshape(a, a, b, b).transpose(0, 2, 1, 3), space.p == space.q)
+
+
+def _integers(D):
+    """A Fraction array as Python ints over one common denominator: (N, den)
+    with D = N / den."""
+    den = math.lcm(*(x.denominator for x in D.flat))
+    N = np.array([x.numerator * (den // x.denominator) for x in D.flat], dtype=object)
+    return N.reshape(D.shape), den
+
+
 def action_matrix(space, R, exact_R=None):
     """Matrix pi(R): row i holds the coefficients of basis[i] o R in the basis.
 
     Exact when the space basis and R are rational (pass ``exact_R`` as rows
-    of Fractions; the result is rows of Fractions); otherwise float.  On a
-    symmetric-product space pi(R) is folded from the degree-p and degree-q
-    harmonic actions.
+    of Fractions; the result is rows of Fractions); otherwise float.  The
+    same path as the projector, over a stack of one element.
     """
-    if space.kind == "harmonic":
-        D = _harmonic_action(space, R, exact_R)
-    else:
-        Dp = _harmonic_action(harmonic_space(space.p, space.style), R, exact_R)
-        Dq = Dp if space.q == space.p else \
-            _harmonic_action(harmonic_space(space.q, space.style), R, exact_R)
-        D = _fold(Dp, Dq, space.p == space.q)
-    return D.tolist() if D.dtype == object else D
+    def actions(h):
+        exact = exact_R is not None and h.is_exact
+        return _harmonic_actions(h, [exact_R if exact else R], exact)
+
+    M = _mean_action(space, actions)
+    return M.tolist() if M.dtype == object else M
 
 
 def averaging_projector(space, group):
     """M_pi = (1/|G|) sum_R pi(R); idempotent projector onto the fixed space.
 
     This is where the field is chosen: rows of Fractions when the space
-    basis and the group are rational, a float array otherwise.
+    basis and the group are rational, a float array otherwise.  The
+    harmonic actions come from the memoised stacks D_p(G), D_q(G)
+    (``action_stack``); on S_pq the average is the single contraction
+    ``Dp.reshape(n, a*a).T @ Dq.reshape(n, b*b) / n``, folded once.
     """
     exact = space.is_exact and group.is_rational
-    elements = group.exact_elements if exact else group.elements
-    total = sum(np.asarray(action_matrix(space, E, E if exact else None))
-                for E in elements)
-    M = total / group.order
+    M = _mean_action(space, lambda h: action_stack(h, group, exact))
     return M.tolist() if exact else M
 
 

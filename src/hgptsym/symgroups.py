@@ -31,19 +31,39 @@ _F = Fraction
 J_MATRIX = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointGroup:
+    """A finite group of 3x3 orthogonal matrices.
+
+    Two groups are equal when they have the same name, the same
+    rationality and bit-identical element stacks; the hash is computed once,
+    so a group can key the memoised action stacks in ``invariants``.
+    """
+
     name: str
     elements: tuple            # tuple of read-only 3x3 float arrays, rows of ``stack``
     generators: tuple          # tuple of read-only 3x3 float arrays
     exact_elements: tuple | None = None  # matching tuple of Fraction matrices
-    stack: np.ndarray = field(init=False, repr=False, compare=False)  # (order, 3, 3)
+    stack: np.ndarray = field(init=False, repr=False)  # (order, 3, 3)
+    _key: tuple = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # read-only float copies: a memoised group is shared by every caller
         object.__setattr__(self, "stack", _readonly(self.elements))
         object.__setattr__(self, "elements", tuple(self.stack))
         object.__setattr__(self, "generators", tuple(_readonly(self.generators)))
+        key = (self.name, self.is_rational, self.stack.tobytes())
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if not isinstance(other, PointGroup):
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def order(self):

@@ -289,3 +289,180 @@ class TestCoefficientPattern:
         sub = inv.invariant_subspace(inv.harmonic_space(2), g)
         with pytest.raises(ValueError):
             inv.coefficient_pattern(sub)
+
+
+# ---------------------------------------------------------------------------
+# stacked group actions
+# ---------------------------------------------------------------------------
+
+def _rotation_about_x3(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _reference_fold(K, space):
+    """pi on S_pq from K = kron(D_p, D_q), entry by entry over index_map."""
+    p, q = space.p, space.q
+    b = 2 * q + 1
+
+    def at(i, j, k, l):
+        return K[(i + p) * b + j + q, (k + p) * b + l + q]
+
+    P = np.empty((space.dim, space.dim), dtype=K.dtype)
+    for r, (i, j) in enumerate(space.index_map):
+        for c, (k, l) in enumerate(space.index_map):
+            v = at(i, j, k, l)
+            if p == q and i != j:
+                v = v + at(j, i, k, l)
+            P[r, c] = v
+    return P
+
+
+def _reference_projector(space, g):
+    """(1/|G|) sum_g fold(kron(D_p(g), D_q(g))), one element at a time."""
+    exact = space.is_exact and g.is_rational
+    hp = inv.harmonic_space(space.p, space.style)
+    hq = inv.harmonic_space(space.q, space.style)
+    total = 0
+    for k, E in enumerate(g.elements):
+        X = g.exact_elements[k] if exact else None
+        Dp = np.array(inv.action_matrix(hp, E, exact_R=X))
+        Dq = np.array(inv.action_matrix(hq, E, exact_R=X))
+        total = total + _reference_fold(np.kron(Dp, Dq), space)
+    return total / g.order
+
+
+CELLS = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+
+
+class TestStackedProjector:
+    @pytest.mark.parametrize("style", ["integer", "orthonormal"])
+    @pytest.mark.parametrize("name", ["C4", "O", "Oi", "type3:O/T", "C3", "C5", "D6", "I"])
+    def test_projector_matches_brute_force(self, name, style):
+        # exact equality on Fraction projectors, 1e-13 on float ones
+        g = sg.build_group(name)
+        for p, q in CELLS:
+            space = inv.symmetric_product_space(p, q, style)
+            M = inv.averaging_projector(space, g)
+            want = _reference_projector(space, g)
+            if space.is_exact and g.is_rational:
+                assert M == want.tolist(), (p, q)
+                assert all(isinstance(v, F) for row in M for v in row)
+            else:
+                assert np.max(np.abs(M - want)) <= 1e-13, (p, q)
+
+    @pytest.mark.parametrize("style", ["integer", "orthonormal"])
+    @pytest.mark.parametrize("name", ["C4", "O", "type3:O/T", "C3", "C5", "D6", "I"])
+    def test_harmonic_actions_and_projector_match_brute_force(self, name, style):
+        # each action_matrix(space, R) is the matching slice of D(G), in both
+        # fields, and their mean is the projector
+        g = sg.build_group(name)
+        for m in range(7):
+            space = inv.harmonic_space(m, style)
+            exact = space.is_exact and g.is_rational
+            stack = inv.action_stack(space, g)
+            flo = inv.action_stack(space, g, exact=False)
+            assert stack.shape == (g.order, space.dim, space.dim)
+            assert stack.dtype == (object if exact else float)
+            mats = []
+            for k, E in enumerate(g.elements):
+                assert np.array_equal(flo[k], inv.action_matrix(space, E))
+                if exact:
+                    X = g.exact_elements[k]
+                    mats.append(np.array(inv.action_matrix(space, X, exact_R=X)))
+                    assert stack[k].tolist() == mats[-1].tolist()
+                else:
+                    mats.append(flo[k])
+            want = sum(mats) / g.order
+            M = inv.averaging_projector(space, g)
+            if exact:
+                assert M == want.tolist(), m
+            else:
+                assert np.max(np.abs(M - want)) <= 1e-13, m
+
+    def test_stack_is_built_once(self, monkeypatch):
+        space = inv.harmonic_space(2)
+        g = sg.build_group("D6")
+        first = inv.action_stack(space, g)
+        calls = []
+        real = inv._harmonic_actions
+        monkeypatch.setattr(inv, "_harmonic_actions",
+                            lambda *a: calls.append(a) or real(*a))
+        assert inv.action_stack(space, sg.build_group("D6")) is first
+        inv.averaging_projector(inv.symmetric_product_space(2, 2), g)
+        inv.averaging_projector(space, g)
+        assert calls == []
+
+    def test_stacks_and_solvers_are_read_only(self):
+        space = inv.harmonic_space(3)
+        arrays = [inv.action_stack(space, sg.build_group("O")),
+                  inv.action_stack(space, sg.build_group("O"), exact=False),
+                  inv.action_stack(space, sg.build_group("I")),
+                  space.float_solver.A, space.float_solver.L,
+                  space.exact_solver.A, space.exact_solver.L, space.exact_solver.rows]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0, ...] = 0
+
+    def test_almost_c1_groups_never_share_a_stack(self):
+        space = inv.harmonic_space(1)
+        g1 = sg.PointGroup("almost C1", (np.eye(3), _rotation_about_x3(0.01)), ())
+        g2 = sg.PointGroup("almost C1", (np.eye(3), _rotation_about_x3(0.02)), ())
+        D1, D2 = inv.action_stack(space, g1), inv.action_stack(space, g2)
+        assert g1 != g2 and D1 is not D2
+        assert np.array_equal(D1[1], inv.action_matrix(space, g1.elements[1]))
+        assert np.array_equal(D2[1], inv.action_matrix(space, g2.elements[1]))
+        assert not np.allclose(D1[1], D2[1])
+        again = sg.PointGroup("almost C1", (np.eye(3), _rotation_about_x3(0.01)), ())
+        assert inv.action_stack(space, again) is D1
+
+    def test_hand_built_space_never_hits_a_built_in_stack(self):
+        g = sg.build_group("C4")
+        builtin = inv.harmonic_space(1)
+        D = inv.action_stack(builtin, g)
+        order = [2, 0, 1]
+        space = inv.RepresentationSpace(
+            "harmonic", 1, None, "integer", tuple(builtin.basis[i] for i in order),
+            tuple(builtin.index_map[i] for i in order), builtin.monomials,
+            tuple(builtin.B[i] for i in order))
+        mine = inv.action_stack(space, g)
+        assert mine is not D
+        assert mine.tolist() == D[:, order][:, :, order].tolist()
+        twin = inv.RepresentationSpace(*(getattr(builtin, f) for f in (
+            "kind", "p", "q", "style", "basis", "index_map", "monomials", "B")))
+        assert inv.action_stack(twin, g) is not D
+        assert inv.action_stack(twin, g).tolist() == D.tolist()
+
+    def test_stacks_need_a_harmonic_space(self):
+        with pytest.raises(ValueError, match="harmonic"):
+            inv.action_stack(inv.symmetric_product_space(1, 1), sg.build_group("C4"))
+
+
+class TestChecksOnStackedPath:
+    SKEW = ((1, 0, 0), (0, 1, 0), (0, 0, 2))
+
+    def skew_group(self, exact):
+        X = tuple(tuple(F(v) for v in row) for row in self.SKEW)
+        ident = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
+        return sg.PointGroup("skew", (ident, X), (X,), (ident, X) if exact else None)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_non_orthogonal_element_is_not_in_the_span(self, exact):
+        g = self.skew_group(exact)
+        assert g.is_rational == exact
+        for space in (inv.harmonic_space(2), inv.symmetric_product_space(2, 2)):
+            with pytest.raises(RuntimeError, match="not in the span"):
+                inv.averaging_projector(space, g)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_rank_deficient_space_fails_before_any_element(self, exact, monkeypatch):
+        from hgptsym.polyalg import Polynomial
+        x1 = Polynomial.variable(0)
+        space = inv.RepresentationSpace(
+            "harmonic", 1, None, "integer", (x1, x1), ((-1,), (0,)),
+            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((F(1), F(0), F(0)),) * 2)
+        seen = []
+        monkeypatch.setattr(inv, "_composed_values", lambda *a: seen.append(a))
+        with pytest.raises(RuntimeError, match="rank-deficient"):
+            inv.averaging_projector(space, self.skew_group(exact))
+        assert seen == []

@@ -229,3 +229,28 @@ class TestMemoisation:
         assert R.flags.writeable
         R[0, 0] = 5.0
         assert g.generators[0][0, 0] == 1.0
+
+
+class TestEquality:
+    def test_distinct_groups_compare_without_raising(self):
+        c4 = sg.build_group("C4")
+        rebuilt = sg.group_from_generators("C4", c4.generators)
+        assert rebuilt.order == 4
+        assert not rebuilt.is_rational and c4.is_rational
+        assert (c4 == rebuilt) is False and c4 != rebuilt
+        assert c4 != sg.build_group("C2") and c4 != "C4"
+
+    def test_equal_by_name_rationality_and_elements(self):
+        o = sg.build_group("O")
+        copy = sg.PointGroup(o.name, o.elements, o.generators, o.exact_elements)
+        assert copy is not o and copy == o and hash(copy) == hash(o)
+        assert sg.PointGroup("O'", o.elements, o.generators, o.exact_elements) != o
+        assert sg.PointGroup(o.name, o.elements, o.generators) != o     # not rational
+        assert sg.PointGroup(o.name, o.elements[::-1], o.generators,
+                             o.exact_elements[::-1]) != o               # other order
+        assert {o: 1}[copy] == 1
+
+    def test_hash_is_stored(self):
+        g = sg.build_group("I")
+        assert hash(g) == g._hash == hash((g.name, False, g.stack.tobytes()))
+        assert {g, sg.build_group("I"), sg.build_group("Ii")} == {g, sg.build_group("Ii")}
