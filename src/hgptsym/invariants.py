@@ -18,11 +18,12 @@ tolerance on floats (``polyalg.zero_tolerance``).
 Group actions are stacked.  Each space holds a left inverse L of a fixed
 matrix A (its basis at sample points for floats, its coefficient matrix
 for Fractions), so D(R) = (L F(R))^T for the composed values F(R), with
-the residual A D(R)^T - F(R) checked for every element.  The stack D(G),
-of shape (|G|, d, d), is built once per (space, group) and kept
-read-only on the space.  On S_pq the projector is one contraction of the
-flattened stacks D_p(G) and D_q(G) over the element axis, the mean
-Kronecker product, folded onto the symmetric pairs once.
+the residual A D(R)^T - F(R) checked for every element.  A float
+projector reads the stack D(G), of shape (|G|, d, d), built once per
+(space, group) and kept read-only on the space; on S_pq it is one
+contraction of the flattened stacks D_p(G) and D_q(G) over the element
+axis, the mean Kronecker product, folded onto the symmetric pairs once.
+An exact projector sums the exact ``action_matrix`` of each element.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _F = Fraction
 TRACE_TOL = 1e-6
 PROJECTOR_TOL = 1e-9
 SOLVE_TOL = 1e-10
+STACK_MEMO = 16          # groups whose action stacks a space keeps
 SVD_RELTOL = 1e-10
 
 
@@ -92,34 +94,38 @@ class RepresentationSpace:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         if np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps) < self.dim:
             raise RuntimeError("basis is rank-deficient")
-        return _Solver(_read_only(A), _read_only((Vt.T / s) @ U.T), slice(None))
+        return _Solver(_read_only(A), _read_only((Vt.T / s) @ U.T), slice(None), 1, 1)
 
     @cached_property
     def exact_solver(self):
-        """Fixed matrix A = B^T and the inverse L of its rows at the pivot
-        monomials of B, both from one row reduction of [B | I]."""
+        """A = B^T and the inverse L of its rows at the pivot monomials of B,
+        from one row reduction of [B | I], held as Python ints: a A and l L."""
         m = len(self.monomials)
         eye = [[_F(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
         rref, pivots = rational_rref([list(row) + e for row, e in zip(self.B, eye)])
         rows = [c for c in pivots if c < m]
         if len(rows) < self.dim:
             raise RuntimeError("basis is rank-deficient")
-        L = np.array([row[m:] for row in rref], dtype=object).T
-        return _Solver(_read_only(np.array(self.B, dtype=object).T), _read_only(L),
-                       _read_only(np.array(rows)))
+        A, a = _integers(np.array(self.B, dtype=object).T)
+        L, l = _integers(np.array([row[m:] for row in rref], dtype=object).T)
+        return _Solver(_read_only(A), _read_only(L), _read_only(np.array(rows)), a * l, l)
 
     @cached_property
     def action_stacks(self):
-        """Memo of ``action_stack``: (group, exact) -> read-only D(G)."""
+        """Memo of ``action_stack``: group -> read-only float D(G), oldest
+        use first."""
         return {}
 
 
 class _Solver(NamedTuple):
-    """Left inverse of a space's fixed matrix: D(R)^T = L F(R)[rows]."""
+    """Left inverse L of a space's fixed matrix A, scaled to integers in the
+    exact field: D(R)^T = L F(R)[rows] / den, checked by A L F[rows] = scale F."""
 
     A: np.ndarray
     L: np.ndarray
     rows: object
+    scale: int
+    den: int
 
 
 def _read_only(a):
@@ -243,42 +249,52 @@ def _composed_values(space, R, exact):
     return _monomial_values(X @ R.T, space.monomials) @ space.coefficients.T
 
 
-def _harmonic_actions(space, elements, exact):
-    """Stack of D(R) for R in ``elements`` on a 3-variable space, (n, d, d).
+def _integers(D):
+    """A Fraction array as Python ints over one common denominator: (N, den)
+    with D = N / den."""
+    den = math.lcm(*(x.denominator for x in D.flat))
+    N = np.array([x.numerator * (den // x.denominator) for x in D.flat], dtype=object)
+    return N.reshape(D.shape), den
 
-    Row i of D(R) holds basis[i] o R in the basis.  With A and its left
-    inverse L from the space's solver, D(R)^T = L F(R); the residual
-    A D(R)^T - F(R), which proves basis o R lies in the span, is checked for
-    every element: exactly zero for Fractions, within ``SOLVE_TOL`` of the
-    value scale for floats.
+
+def _harmonic_action(space, R, exact):
+    """D(R) on a 3-variable space as (N, den) with D = N / den: row i holds
+    basis[i] o R in the basis.
+
+    With A and its left inverse L from the space's solver, D(R)^T = L F(R);
+    the residual A D(R)^T - F(R), which proves basis o R lies in the span,
+    is checked for every element: exactly zero for Fractions, within
+    ``SOLVE_TOL`` of the value scale for floats.  Fractions are handled as
+    Python ints over one denominator (N and den ints); floats have den 1.
     """
-    A, L, rows = space.exact_solver if exact else space.float_solver
-    D = np.empty((len(elements), space.dim, space.dim), dtype=A.dtype)
-    for k, R in enumerate(elements):
-        F = _composed_values(space, R if exact else np.asarray(R, dtype=float), exact)
-        Dt = L @ F[rows]
-        resid = np.abs(A @ Dt - F).max() / max(np.abs(F).max(), 1e-300)
-        if resid > (0 if exact else SOLVE_TOL):
-            raise RuntimeError("composed polynomial not in the span (residual %g)" % resid)
-        D[k] = Dt.T
-    return D
+    A, L, rows, scale, den = space.exact_solver if exact else space.float_solver
+    F = _composed_values(space, R if exact else np.asarray(R, dtype=float), exact)
+    F, f = _integers(F) if exact else (F, 1)
+    Dt = L @ F[rows]
+    resid = np.abs(A @ Dt - scale * F).max() / max(np.abs(scale * F).max(), 1e-300)
+    if resid > (0 if exact else SOLVE_TOL):
+        raise RuntimeError("composed polynomial not in the span (residual %g)" % float(resid))
+    return Dt.T, den * f
 
 
-def action_stack(space, group, exact=True):
-    """D(G), the read-only (|G|, d, d) stack of ``group``'s actions on a
-    harmonic space, element order as in ``group.elements``.
+def action_stack(space, group):
+    """D(G), the read-only float (|G|, d, d) stack of ``group``'s actions on
+    a harmonic space, element order as in ``group.elements``.
 
-    Exact when ``exact`` is true and the space basis and the group are
-    rational.  Built once per (space, group, field) and kept on the space.
+    Built once per (space, group) and kept on the space, which holds the
+    stacks of its ``STACK_MEMO`` most recently used groups.
     """
     if space.kind != "harmonic":
         raise ValueError("action stacks are built on harmonic spaces")
-    exact = exact and space.is_exact and group.is_rational
-    key = (group, exact)
-    if key not in space.action_stacks:
-        elements = group.exact_elements if exact else group.elements
-        space.action_stacks[key] = _read_only(_harmonic_actions(space, elements, exact))
-    return space.action_stacks[key]
+    memo = space.action_stacks
+    D = memo.pop(group, None)               # re-inserted below as the newest
+    if D is None:
+        D = _read_only(np.array([_harmonic_action(space, R, False)[0]
+                                 for R in group.elements]))
+        if len(memo) >= STACK_MEMO:
+            del memo[next(iter(memo))]
+    memo[group] = D
+    return D
 
 
 def _fold(K, symmetric):
@@ -286,7 +302,7 @@ def _fold(K, symmetric):
 
     p != q: the Kronecker product.  p == q: row (i, j), i < j, is
     K[i, j, k, l] + K[j, i, k, l] over pairs k <= l; row (i, i) is
-    K[i, i, k, l].  Linear in K, so it folds a mean of such products too.
+    K[i, i, k, l].  Linear in K, so it folds a sum of such products too.
     """
     a, b = K.shape[:2]
     if not symmetric:
@@ -298,34 +314,24 @@ def _fold(K, symmetric):
     return P
 
 
-def _mean_action(space, actions):
-    """(1/n) sum_R pi(R) on ``space``, from the (n, d, d) stacks that
-    ``actions(harmonic space)`` returns.
+def _action_sum(space, actions):
+    """sum_R pi(R) on ``space`` as (N, den) with the sum = N / den, from the
+    (n, d, d) stacks and denominators that ``actions(harmonic space)``
+    returns.
 
-    On S_pq the mean Kronecker product of D_p and D_q is one contraction
+    On S_pq the summed Kronecker product of D_p and D_q is one contraction
     over the element axis; it is folded onto the symmetric pairs once.
     """
     if space.kind == "harmonic":
-        D = actions(space)
-        return D.sum(axis=0) / len(D)
-    Dp = actions(harmonic_space(space.p, space.style))
-    Dq = Dp if space.q == space.p else actions(harmonic_space(space.q, space.style))
+        D, den = actions(space)
+        return D.sum(axis=0), den
+    Dp, dp = actions(harmonic_space(space.p, space.style))
+    Dq, dq = (Dp, dp) if space.q == space.p else \
+        actions(harmonic_space(space.q, space.style))
     n, a, _ = Dp.shape
     b = Dq.shape[1]
-    P, Q, scale = Dp.reshape(n, a * a), Dq.reshape(n, b * b), n
-    if P.dtype == object:       # Fractions: contract integer numerators, divide once
-        (P, dp), (Q, dq) = _integers(P), _integers(Q)
-        scale = _F(n * dp * dq)
-    K = (P.T @ Q) / scale                                       # [(i, k), (j, l)]
-    return _fold(K.reshape(a, a, b, b).transpose(0, 2, 1, 3), space.p == space.q)
-
-
-def _integers(D):
-    """A Fraction array as Python ints over one common denominator: (N, den)
-    with D = N / den."""
-    den = math.lcm(*(x.denominator for x in D.flat))
-    N = np.array([x.numerator * (den // x.denominator) for x in D.flat], dtype=object)
-    return N.reshape(D.shape), den
+    K = Dp.reshape(n, a * a).T @ Dq.reshape(n, b * b)          # [(i, k), (j, l)]
+    return _fold(K.reshape(a, a, b, b).transpose(0, 2, 1, 3), space.p == space.q), dp * dq
 
 
 def action_matrix(space, R, exact_R=None):
@@ -333,28 +339,34 @@ def action_matrix(space, R, exact_R=None):
 
     Exact when the space basis and R are rational (pass ``exact_R`` as rows
     of Fractions; the result is rows of Fractions); otherwise float.  The
-    same path as the projector, over a stack of one element.
+    same path as the float projector, over a stack of one element.
     """
     def actions(h):
         exact = exact_R is not None and h.is_exact
-        return _harmonic_actions(h, [exact_R if exact else R], exact)
+        D, den = _harmonic_action(h, exact_R if exact else R, exact)
+        return D[None], den
 
-    M = _mean_action(space, actions)
-    return M.tolist() if M.dtype == object else M
+    N, den = _action_sum(space, actions)
+    if N.dtype == object:
+        return [[_F(x, den) for x in row] for row in N]
+    return N
 
 
 def averaging_projector(space, group):
     """M_pi = (1/|G|) sum_R pi(R); idempotent projector onto the fixed space.
 
     This is where the field is chosen: rows of Fractions when the space
-    basis and the group are rational, a float array otherwise.  The
-    harmonic actions come from the memoised stacks D_p(G), D_q(G)
-    (``action_stack``); on S_pq the average is the single contraction
-    ``Dp.reshape(n, a*a).T @ Dq.reshape(n, b*b) / n``, folded once.
+    basis and the group are rational, a float array otherwise.  Fractions:
+    the exact ``action_matrix`` of each element, summed.  Floats: the
+    memoised stacks D_p(G), D_q(G) (``action_stack``); on S_pq the sum is
+    the single contraction ``Dp.reshape(n, a*a).T @ Dq.reshape(n, b*b)``,
+    folded once.
     """
-    exact = space.is_exact and group.is_rational
-    M = _mean_action(space, lambda h: action_stack(h, group, exact))
-    return M.tolist() if exact else M
+    if space.is_exact and group.is_rational:
+        total = sum(np.asarray(action_matrix(space, E, E)) for E in group.exact_elements)
+        return (total / group.order).tolist()
+    N, _ = _action_sum(space, lambda h: (action_stack(h, group), 1))
+    return N / group.order
 
 
 # ---------------------------------------------------------------------------

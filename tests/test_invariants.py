@@ -354,25 +354,24 @@ class TestStackedProjector:
     @pytest.mark.parametrize("style", ["integer", "orthonormal"])
     @pytest.mark.parametrize("name", ["C4", "O", "type3:O/T", "C3", "C5", "D6", "I"])
     def test_harmonic_actions_and_projector_match_brute_force(self, name, style):
-        # each action_matrix(space, R) is the matching slice of D(G), in both
-        # fields, and their mean is the projector
+        # each float action_matrix(space, R) is the matching slice of D(G);
+        # the projector is the mean of the action matrices in its field
         g = sg.build_group(name)
         for m in range(7):
             space = inv.harmonic_space(m, style)
             exact = space.is_exact and g.is_rational
             stack = inv.action_stack(space, g)
-            flo = inv.action_stack(space, g, exact=False)
             assert stack.shape == (g.order, space.dim, space.dim)
-            assert stack.dtype == (object if exact else float)
+            assert stack.dtype == float
             mats = []
             for k, E in enumerate(g.elements):
-                assert np.array_equal(flo[k], inv.action_matrix(space, E))
+                assert np.array_equal(stack[k], inv.action_matrix(space, E))
                 if exact:
                     X = g.exact_elements[k]
                     mats.append(np.array(inv.action_matrix(space, X, exact_R=X)))
-                    assert stack[k].tolist() == mats[-1].tolist()
+                    assert np.max(np.abs(mats[-1].astype(float) - stack[k])) <= 1e-13
                 else:
-                    mats.append(flo[k])
+                    mats.append(stack[k])
             want = sum(mats) / g.order
             M = inv.averaging_projector(space, g)
             if exact:
@@ -380,13 +379,23 @@ class TestStackedProjector:
             else:
                 assert np.max(np.abs(M - want)) <= 1e-13, m
 
+    def test_exact_projector_sums_one_action_matrix_per_element(self, monkeypatch):
+        space = inv.symmetric_product_space(1, 2)
+        g = sg.build_group("O")
+        seen = []
+        real = inv.action_matrix
+        monkeypatch.setattr(inv, "action_matrix",
+                            lambda s, R, exact_R=None: seen.append(exact_R) or real(s, R, exact_R))
+        inv.averaging_projector(space, g)
+        assert seen == list(g.exact_elements)
+
     def test_stack_is_built_once(self, monkeypatch):
         space = inv.harmonic_space(2)
         g = sg.build_group("D6")
         first = inv.action_stack(space, g)
         calls = []
-        real = inv._harmonic_actions
-        monkeypatch.setattr(inv, "_harmonic_actions",
+        real = inv._harmonic_action
+        monkeypatch.setattr(inv, "_harmonic_action",
                             lambda *a: calls.append(a) or real(*a))
         assert inv.action_stack(space, sg.build_group("D6")) is first
         inv.averaging_projector(inv.symmetric_product_space(2, 2), g)
@@ -396,7 +405,6 @@ class TestStackedProjector:
     def test_stacks_and_solvers_are_read_only(self):
         space = inv.harmonic_space(3)
         arrays = [inv.action_stack(space, sg.build_group("O")),
-                  inv.action_stack(space, sg.build_group("O"), exact=False),
                   inv.action_stack(space, sg.build_group("I")),
                   space.float_solver.A, space.float_solver.L,
                   space.exact_solver.A, space.exact_solver.L, space.exact_solver.rows]
@@ -427,11 +435,24 @@ class TestStackedProjector:
             tuple(builtin.B[i] for i in order))
         mine = inv.action_stack(space, g)
         assert mine is not D
-        assert mine.tolist() == D[:, order][:, :, order].tolist()
+        assert np.max(np.abs(mine - D[:, order][:, :, order])) <= 1e-13
         twin = inv.RepresentationSpace(*(getattr(builtin, f) for f in (
             "kind", "p", "q", "style", "basis", "index_map", "monomials", "B")))
         assert inv.action_stack(twin, g) is not D
         assert inv.action_stack(twin, g).tolist() == D.tolist()
+
+    def test_memo_keeps_the_most_recently_used_groups(self):
+        space = inv.harmonic_space(2)
+        kept = sg.build_group("D6")
+        D = inv.action_stack(space, kept)
+        for k in range(3 * inv.STACK_MEMO):
+            ad_hoc = sg.PointGroup("ad hoc", (np.eye(3), _rotation_about_x3(0.1 + k)), ())
+            inv.action_stack(space, ad_hoc)
+            assert inv.action_stack(space, kept) is D
+            assert len(space.action_stacks) <= inv.STACK_MEMO
+        assert ad_hoc in space.action_stacks
+        first = sg.PointGroup("ad hoc", (np.eye(3), _rotation_about_x3(0.1)), ())
+        assert first not in space.action_stacks
 
     def test_stacks_need_a_harmonic_space(self):
         with pytest.raises(ValueError, match="harmonic"):
