@@ -59,11 +59,6 @@ def sphere_inner_over_pi(p, q):
     return total
 
 
-def sphere_inner(p, q):
-    """<p, q>_S as a float (p, q real polynomials)."""
-    return float(sphere_inner_over_pi(p, q)) * math.pi
-
-
 # ---------------------------------------------------------------------------
 # Built-in real bases (degrees 0..4)
 # ---------------------------------------------------------------------------

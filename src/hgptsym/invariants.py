@@ -18,12 +18,16 @@ tolerance on floats (``polyalg.zero_tolerance``).
 Group actions are stacked.  Each space holds a left inverse L of a fixed
 matrix A (its basis at sample points for floats, its coefficient matrix
 for Fractions), so D(R) = (L F(R))^T for the composed values F(R), with
-the residual A D(R)^T - F(R) checked for every element.  A float
-projector reads the stack D(G), of shape (|G|, d, d), built once per
-(space, group) and kept read-only on the space; on S_pq it is one
-contraction of the flattened stacks D_p(G) and D_q(G) over the element
-axis, the mean Kronecker product, folded onto the symmetric pairs once.
-An exact projector sums the exact ``action_matrix`` of each element.
+the residual A D(R)^T - F(R) checked for every element.  One function
+builds D(R) for a stack of elements, in floats from one table of
+coordinate powers at all rotated sample points; ``action_matrix`` is the
+same function on a stack of one.  A float projector reads the stack
+D(G), of shape (|G|, d, d), built once per (space, group) and kept
+read-only on the space; on S_pq it is one contraction of the flattened
+stacks D_p(G) and D_q(G) over the element axis, the mean Kronecker
+product, folded onto the symmetric pairs once.  An exact projector sums
+the exact ``action_matrix`` of each element; exact arithmetic runs on
+Python ints over one denominator.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ TRACE_TOL = 1e-6
 PROJECTOR_TOL = 1e-9
 SOLVE_TOL = 1e-10
 STACK_MEMO = 16          # groups whose action stacks a space keeps
+SAMPLE_BLOCK = 1 << 12   # monomial values a float action batch evaluates at once
 SVD_RELTOL = 1e-10
 
 
@@ -101,13 +106,13 @@ class RepresentationSpace:
         """A = B^T and the inverse L of its rows at the pivot monomials of B,
         from one row reduction of [B | I], held as Python ints: a A and l L."""
         m = len(self.monomials)
-        eye = [[_F(int(i == j)) for j in range(self.dim)] for i in range(self.dim)]
-        rref, pivots = rational_rref([list(row) + e for row, e in zip(self.B, eye)])
+        rref, pivots = rational_rref(np.hstack([np.array(self.B, dtype=object),
+                                                np.identity(self.dim, dtype=object)]))
         rows = [c for c in pivots if c < m]
         if len(rows) < self.dim:
             raise RuntimeError("basis is rank-deficient")
         A, a = _integers(np.array(self.B, dtype=object).T)
-        L, l = _integers(np.array([row[m:] for row in rref], dtype=object).T)
+        L, l = _integers(rref[:, m:].T)
         return _Solver(_read_only(A), _read_only(L), _read_only(np.array(rows)), a * l, l)
 
     @cached_property
@@ -167,14 +172,9 @@ def _product_monomials(p, q):
 
 def _lift(poly3, block):
     """Embed a 3-variable polynomial into the x- or y-block of 6 variables."""
-    shift = 0 if block == "x" else 3
-    terms = {}
-    for e, c in poly3.terms.items():
-        ne = [0] * 6
-        for i, k in enumerate(e):
-            ne[shift + i] = k
-        terms[tuple(ne)] = c
-    return Polynomial(terms, 6)
+    pad = (0, 0, 0)
+    return Polynomial({e + pad if block == "x" else pad + e: c
+                       for e, c in poly3.terms.items()}, 6)
 
 
 @cache
@@ -232,49 +232,69 @@ def _sample_values(monomials):
     return _read_only(X), _read_only(V)
 
 
+@cache
+def _power_index(monomials):
+    """Powers k the monomials use, and where each monomial's x1^a, x2^b and
+    x3^c sit in a flattened (3, len(k)) table of coordinate powers."""
+    E = np.array(monomials).reshape(-1, 3)
+    k = np.arange(E.max() + 1)
+    return k.astype(float), (E + len(k) * np.arange(3)).T.ravel()
+
+
 def _monomial_values(X, monomials):
-    return np.prod(X[:, None, :] ** np.array(monomials)[None, :, :], axis=2)
+    """The monomials at the points X, shape (..., 3): one table X ** k
+    gathered per monomial, so each value is the same (x1^a x2^b) x3^c as
+    evaluating the monomial on its own.  The result is C-ordered, so the
+    BLAS product V @ B^T rounds as it does for a directly evaluated V."""
+    k, index = _power_index(monomials)
+    G = (X[..., None] ** k).reshape(X.shape[:-1] + (-1,)).take(index, -1)
+    m = len(monomials)
+    return G[..., :m] * G[..., m:2 * m] * G[..., 2 * m:]
 
 
-def _composed_values(space, R, exact):
-    """F(R): the basis composed with R, in the coordinates of the solver.
-
-    Exact: rows of ``basis[i] o R`` over the monomials, transposed (monomials
-    x basis).  Float: the basis at the rotated sample points R X.
-    """
+def _composed_values(space, S, exact):
+    """F: the basis composed with each R of the stack S, in the coordinates
+    of the solver, shape (n, rows of A, d).  Exact: the coefficients of
+    ``basis[i] o R``.  Float: the basis at the rotated sample points R X."""
     if exact:
-        composed = [b.compose_linear(R) for b in space.basis]
-        return np.array(_coeff_rows(composed, space.monomials), dtype=object).T
+        return np.array([_coeff_rows([b.compose_linear(R) for b in space.basis],
+                                     space.monomials) for R in S], dtype=object).transpose(0, 2, 1)
     X, _ = _sample_values(space.monomials)
-    return _monomial_values(X @ R.T, space.monomials) @ space.coefficients.T
+    return _monomial_values(X @ S.transpose(0, 2, 1), space.monomials) @ space.coefficients.T
 
 
 def _integers(D):
-    """A Fraction array as Python ints over one common denominator: (N, den)
-    with D = N / den."""
+    """A Fraction array D as (N, den), Python ints with D = N / den."""
     den = math.lcm(*(x.denominator for x in D.flat))
     N = np.array([x.numerator * (den // x.denominator) for x in D.flat], dtype=object)
     return N.reshape(D.shape), den
 
 
-def _harmonic_action(space, R, exact):
-    """D(R) on a 3-variable space as (N, den) with D = N / den: row i holds
-    basis[i] o R in the basis.
+def _harmonic_action(space, S, exact):
+    """D(R) for each R of the stack S on a 3-variable space, as (N, den)
+    with the (n, d, d) actions N / den: row i of D(R) holds basis[i] o R.
 
-    With A and its left inverse L from the space's solver, D(R)^T = L F(R);
-    the residual A D(R)^T - F(R), which proves basis o R lies in the span,
-    is checked for every element: exactly zero for Fractions, within
-    ``SOLVE_TOL`` of the value scale for floats.  Fractions are handled as
-    Python ints over one denominator (N and den ints); floats have den 1.
+    D(R)^T = L F(R) with the left inverse L of the solver's A; the residual
+    A D(R)^T - F(R), which proves basis o R lies in the span, is checked for
+    every element: exactly zero in Python ints for Fractions, within
+    ``SOLVE_TOL`` for floats, evaluated ``SAMPLE_BLOCK`` values at a time.
     """
     A, L, rows, scale, den = space.exact_solver if exact else space.float_solver
-    F = _composed_values(space, R if exact else np.asarray(R, dtype=float), exact)
+    step = len(S) if exact else max(1, SAMPLE_BLOCK // (len(A) * len(space.monomials)))
+    if len(S) > step:
+        return np.concatenate([_harmonic_action(space, S[i:i + step], exact)[0]
+                               for i in range(0, len(S), step)]), den
+    F = _composed_values(space, S, exact)
     F, f = _integers(F) if exact else (F, 1)
-    Dt = L @ F[rows]
-    resid = np.abs(A @ Dt - scale * F).max() / max(np.abs(scale * F).max(), 1e-300)
-    if resid > (0 if exact else SOLVE_TOL):
-        raise RuntimeError("composed polynomial not in the span (residual %g)" % float(resid))
-    return Dt.T, den * f
+    Dt = L @ F[:, rows]
+    if exact:
+        F = scale * F
+    resid = abs(A @ Dt - F).max((1, 2)) / np.maximum(abs(F).max((1, 2)), 1e-300)
+    bad = resid > (0 if exact else SOLVE_TOL)
+    if bad.any():
+        raise RuntimeError("composed polynomial not in the span (residual %g)"
+                           % float(resid[bad][0]))
+    return Dt.transpose(0, 2, 1), den * f
 
 
 def action_stack(space, group):
@@ -289,8 +309,7 @@ def action_stack(space, group):
     memo = space.action_stacks
     D = memo.pop(group, None)               # re-inserted below as the newest
     if D is None:
-        D = _read_only(np.array([_harmonic_action(space, R, False)[0]
-                                 for R in group.elements]))
+        D = _read_only(np.ascontiguousarray(_harmonic_action(space, group.stack, False)[0]))
         if len(memo) >= STACK_MEMO:
             del memo[next(iter(memo))]
     memo[group] = D
@@ -342,9 +361,9 @@ def action_matrix(space, R, exact_R=None):
     same path as the float projector, over a stack of one element.
     """
     def actions(h):
-        exact = exact_R is not None and h.is_exact
-        D, den = _harmonic_action(h, exact_R if exact else R, exact)
-        return D[None], den
+        if exact_R is not None and h.is_exact:
+            return _harmonic_action(h, [exact_R], True)
+        return _harmonic_action(h, np.asarray(R, dtype=float)[None], False)
 
     N, den = _action_sum(space, actions)
     if N.dtype == object:
@@ -407,7 +426,7 @@ def _select_independent_rows(M, m):
 
     They are the pivot columns of rref(M^T); M must have rank m.
     """
-    _, pivots = rational_rref(M.T.tolist())
+    _, pivots = rational_rref(M.T)
     if len(pivots) != m:
         raise RuntimeError("found %d independent projected elements, expected %d"
                            % (len(pivots), m))
@@ -424,14 +443,16 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     m = _integer(M.trace(), "projector trace", trace_tol)
     if m == 0:
         return InvariantSubspace(space, group.name, 0, (), (), ())
-    # rows of M_pi applied to the basis, in basis and in monomial coordinates;
-    # B is the basis coefficient matrix in the field of M
-    B = np.asarray(space.B, dtype=object) if M.dtype == object else space.coefficients
+    # rows of M_pi applied to the basis, in monomial coordinates; exact rows
+    # are multiplied in Python ints over the denominators of the row and of B
+    exact = M.dtype == object
+    B, b = _integers(np.array(space.B, dtype=object)) if exact else (space.coefficients, 1)
     polys = []
     coeff_rows = []
     mono_rows = []
     for crow in M[_select_independent_rows(M, m)]:
-        mono = crow @ B
+        N, den = _integers(crow) if exact else (crow, 1)
+        mono = np.array([_F(x, b * den) for x in N @ B], dtype=object) if exact else N @ B
         tol = zero_tolerance([mono])
         poly = Polynomial({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
                           space.basis[0].nvars)
@@ -614,8 +635,8 @@ def coefficient_pattern(inv):
     if not inv.coefficient_rows:
         return CoefficientPattern(space.p, space.q, space.style, inv.group_name,
                                   pairs, (), tuple(pairs), {}, ())
-    rref, pivots = rational_rref(inv.coefficient_rows)
-    rref = rref[:len(pivots)]
+    rref, pivots = rational_rref(np.array(inv.coefficient_rows))
+    rref = rref[:len(pivots)].tolist()
     tol = zero_tolerance(rref)
     independent = tuple(pairs[c] for c in pivots)
     zero = []

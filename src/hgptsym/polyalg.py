@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 VAR_NAMES_3 = ("x1", "x2", "x3")
 VAR_NAMES_6 = ("x1", "x2", "x3", "y1", "y2", "y3")
 
@@ -46,6 +48,14 @@ class Polynomial:
                     del clean[exps]
         self.terms = clean
         self.nvars = nvars
+
+    @classmethod
+    def _make(cls, terms, nvars):
+        """A result of arithmetic on valid polynomials: only zeros are dropped."""
+        poly = cls.__new__(cls)
+        poly.terms = {e: c for e, c in terms.items() if c != 0}
+        poly.nvars = nvars
+        return poly
 
     # ---- constructors -------------------------------------------------
 
@@ -112,12 +122,12 @@ class Polynomial:
         t = dict(self.terms)
         for e, c in other.terms.items():
             t[e] = t.get(e, 0) + c
-        return Polynomial(t, self.nvars)
+        return Polynomial._make(t, self.nvars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial({e: -c for e, c in self.terms.items()}, self.nvars)
+        return Polynomial._make({e: -c for e, c in self.terms.items()}, self.nvars)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Polynomial) else -_coerce(other))
@@ -128,7 +138,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, Fraction)):
             other = _coerce(other)
-            return Polynomial({e: c * other for e, c in self.terms.items()}, self.nvars)
+            return Polynomial._make({e: c * other for e, c in self.terms.items()}, self.nvars)
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
         t = {}
@@ -136,7 +146,7 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 t[e] = t.get(e, 0) + c1 * c2
-        return Polynomial(t, self.nvars)
+        return Polynomial._make(t, self.nvars)
 
     __rmul__ = __mul__
 
@@ -174,7 +184,7 @@ class Polynomial:
             ne = list(e)
             ne[i] -= 1
             t[tuple(ne)] = t.get(tuple(ne), 0) + c * e[i]
-        return Polynomial(t, self.nvars)
+        return Polynomial._make(t, self.nvars)
 
     def laplacian(self):
         """Sum of second derivatives in x1, x2, x3 (3-variable only)."""
@@ -218,7 +228,7 @@ class Polynomial:
 
         out = Polynomial.zero(3)
         for e, c in self.terms.items():
-            term = Polynomial.constant(c, 3)
+            term = Polynomial._make({(0, 0, 0): c}, 3)
             for v, k in enumerate(e):
                 if k:
                     term = term * power(v, k)
@@ -369,7 +379,7 @@ def kelvin_harmonicize(q, m):
 
 # ---------------------------------------------------------------------------
 # Linear algebra over the entries' own field (Fraction matrices exactly,
-# float matrices with one relative tolerance; matrices as lists of lists)
+# float matrices with one relative tolerance; matrices as numpy arrays)
 # ---------------------------------------------------------------------------
 
 RTOL = 1e-9
@@ -382,46 +392,43 @@ def zero_tolerance(rows):
     ``RTOL * max(1, max|v|)``.  The floor of 1 keeps a matrix of pure
     rounding noise from being rescaled into apparent rank.
     """
-    values = [v for row in rows for v in row]
-    if all(_is_exact(v) for v in values):
+    A = np.asarray(rows)
+    if not A.size or (A.dtype == object and all(_is_exact(v) for v in A.flat)):
         return 0
-    return RTOL * max(1.0, max(abs(v) for v in values))
+    return RTOL * max(1.0, np.abs(A).max())
 
 
 def rational_rref(rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+    """Reduced row echelon form as (array, pivot_columns).
 
-    Integer entries become ``Fraction``s; float entries stay floats.  The
-    pivot of a column is its first remaining entry whose magnitude exceeds
+    All-float input is reduced in float64, anything else in object dtype
+    with integers as ``Fraction``s and floats left as floats.  The pivot of
+    a column is its first remaining entry whose magnitude exceeds
     ``zero_tolerance`` (0 for exact input).
     """
-    A = [[_coerce(x) for x in row] for row in rows]
+    floats = isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
+    A = rows.astype(float) if floats else np.frompyfunc(_coerce, 1, 1)(np.array(rows, object))
+    if A.dtype == object and all(isinstance(v, float) for v in A.flat):
+        A = A.astype(float)
+    A = A.reshape(len(A), -1 if A.size else 0)
     tol = zero_tolerance(A)
-    nr = len(A)
-    nc = len(A[0]) if nr else 0
+    nr, nc = A.shape
     pivots = []
     r = 0
     for c in range(nc):
-        piv = next((i for i in range(r, nr) if abs(A[i][c]) > tol), None)
-        if piv is None:
+        hits = np.flatnonzero(np.abs(A[r:, c]) > tol)
+        if not hits.size:
             continue
-        A[r], A[piv] = A[piv], A[r]
-        inv = A[r][c]
-        A[r] = [v / inv for v in A[r]]
-        for i in range(nr):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        piv = r + int(hits[0])
+        A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] / A[r, c]
+        others = np.flatnonzero((A[:, c] != 0) & (np.arange(nr) != r))
+        A[others] = A[others] - A[others, c, None] * A[r]
         pivots.append(c)
         r += 1
         if r == nr:
             break
     return A, pivots
-
-
-def rational_rank(rows):
-    _, pivots = rational_rref(rows)
-    return len(pivots)
 
 
 def rational_nullspace(rows):
@@ -439,26 +446,3 @@ def rational_nullspace(rows):
             v[pc] = -rref[r][fc]
         basis.append(v)
     return basis
-
-
-def rational_solve(A, B):
-    """Solve A X = B exactly for a consistent system with full column rank.
-
-    ``A`` is m x n (m >= n), ``B`` is m x k.  Returns X as n x k rows.
-    Raises ValueError if the system is inconsistent or rank-deficient.
-    """
-    m = len(A)
-    n = len(A[0])
-    k = len(B[0])
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(B[i][j]) for j in range(k)]
-           for i in range(m)]
-    rref, pivots = rational_rref(aug)
-    if any(p >= n for p in pivots):
-        raise ValueError("inconsistent linear system")
-    if len(pivots) < n:
-        raise ValueError("rank-deficient linear system")
-    X = [[Fraction(0)] * k for _ in range(n)]
-    for r, pc in enumerate(pivots):
-        for j in range(k):
-            X[pc][j] = rref[r][n + j]
-    return X

@@ -487,3 +487,72 @@ class TestChecksOnStackedPath:
         with pytest.raises(RuntimeError, match="rank-deficient"):
             inv.averaging_projector(space, self.skew_group(exact))
         assert seen == []
+
+
+def _reference_action(space, R):
+    """D(R) by the per-element float construction the batched kernel replaced:
+    each monomial evaluated on its own at R X, one product with B^T and L."""
+    X, _ = inv._sample_values(space.monomials)
+    E = np.array(space.monomials)
+    F = np.prod((X @ R.T)[:, None, :] ** E[None], axis=2) @ space.coefficients.T
+    return (space.float_solver.L @ F).T
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+BATCHED_GROUPS = ["C3", "C5", "C6", "C7", "D3", "D5", "D6", "I", "Ii", "O", "Oi", "T", "C4",
+                  "type3:O/T"]
+
+
+class TestBatchedActions:
+    @pytest.mark.parametrize("style", ["integer", "orthonormal"])
+    @pytest.mark.parametrize("name", BATCHED_GROUPS)
+    def test_batched_stack_equals_one_element_path(self, name, style):
+        # bit for bit, against action_matrix and the per-element reference
+        g = sg.build_group(name)
+        for m in range(9):
+            space = inv.harmonic_space(m, style)
+            D, den = inv._harmonic_action(space, g.stack, False)
+            assert den == 1 and D.shape == (g.order, space.dim, space.dim)
+            one = np.array([inv.action_matrix(space, E) for E in g.elements])
+            assert np.array_equal(_bits(D), _bits(one)), m
+            ref = np.array([_reference_action(space, E) for E in g.elements])
+            assert np.array_equal(_bits(D), _bits(ref)), m
+
+    @pytest.mark.parametrize("block", [1, 50, 10 ** 9])
+    def test_blocking_does_not_change_the_stack(self, block, monkeypatch):
+        g = sg.build_group("I")
+        space = inv.harmonic_space(5)
+        want = _bits(inv._harmonic_action(space, g.stack, False)[0])
+        monkeypatch.setattr(inv, "SAMPLE_BLOCK", block)
+        assert np.array_equal(_bits(inv._harmonic_action(space, g.stack, False)[0]), want)
+
+    @pytest.mark.parametrize("m", range(13))
+    def test_monomial_values_match_direct_evaluation(self, m, rng):
+        monos = inv.harmonic_space(m).monomials
+        E = np.array(monos)
+        for shape in [(1,), (17,), (4, 9), (2, 3, 5)]:
+            X = rng.normal(size=shape + (3,))
+            X.flat[::7] = 0.0
+            want = np.prod(X.reshape(-1, 3)[:, None, :] ** E, axis=2).reshape(shape + (-1,))
+            got = inv._monomial_values(X, monos)
+            assert got.flags.c_contiguous
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("degree", [2, 6])
+    def test_one_bad_element_in_the_middle_raises(self, degree):
+        # C6 about x3 with element 3 replaced by a skew map; at degree 6 the
+        # stack is evaluated in blocks and the bad element sits in the second
+        space = inv.harmonic_space(degree)
+        skew = np.diag([1.0, 1.0, 2.0])
+        elements = [_rotation_about_x3(2 * np.pi * k / 6) for k in range(6)]
+        elements[3] = skew
+        g = sg.PointGroup("bad middle", tuple(elements), ())
+        with pytest.raises(RuntimeError, match="not in the span") as batched:
+            inv.action_stack(space, g)
+        with pytest.raises(RuntimeError, match="not in the span") as alone:
+            inv.action_matrix(space, skew)
+        assert str(batched.value) == str(alone.value)
+        assert g not in space.action_stacks

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import proportional, u1, u2, u3
 from hgptsym.polyalg import (Polynomial, kelvin_harmonicize, rational_nullspace,
-                             rational_rank, rational_rref, rational_solve, zero_tolerance)
+                             rational_rref, zero_tolerance)
 
 
 class TestArithmetic:
@@ -135,7 +135,7 @@ class TestRationalLinearAlgebra:
         rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
         rref, pivots = rational_rref(rows)
         assert pivots == [0]
-        assert rational_rank(rows) == 1
+        assert rref.tolist() == [[1, 2], [0, 0]]
 
     def test_nullspace(self):
         rows = [[Fraction(1), Fraction(1), Fraction(0)]]
@@ -143,18 +143,6 @@ class TestRationalLinearAlgebra:
         assert len(ns) == 2
         for v in ns:
             assert v[0] + v[1] == 0 or v[2] != 0
-
-    def test_solve_exact(self):
-        A = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1)]]
-        B = [[Fraction(4)], [Fraction(5)]]
-        X = rational_solve(A, B)
-        assert X == [[Fraction(2)], [Fraction(3)]]
-
-    def test_solve_inconsistent_raises(self):
-        A = [[Fraction(1)], [Fraction(1)]]
-        B = [[Fraction(1)], [Fraction(2)]]
-        with pytest.raises(Exception):
-            rational_solve(A, B)
 
 
 class TestRrefOverFields:
@@ -171,11 +159,113 @@ class TestRrefOverFields:
         rref, pivots = rational_rref([[2, 1, 0], [4, 3, 1]])
         assert pivots == [0, 1]
         assert all(type(v) is Fraction for row in rref for v in row)
-        assert rref[0] == [1, 0, Fraction(-1, 2)]
+        assert rref[0].tolist() == [1, 0, Fraction(-1, 2)]
 
     def test_exact_tolerance_is_zero(self):
         assert zero_tolerance([[Fraction(1, 10 ** 30)]]) == 0
         assert rational_rref([[Fraction(1, 10 ** 30)]])[1] == [0]
+
+
+def _reference_zero_tolerance(rows):
+    values = [v for row in rows for v in row]
+    if all(isinstance(v, Fraction) for v in values):
+        return 0
+    return 1e-9 * max(1.0, max(abs(v) for v in values))
+
+
+def _reference_rref(rows):
+    """The list-of-lists reduction the array version replaced, kept as a
+    reference: same pivot rule, same entry-by-entry operations."""
+    A = [[Fraction(x) if isinstance(x, (int, Fraction)) else x for x in row] for row in rows]
+    tol = _reference_zero_tolerance(A)
+    nr = len(A)
+    nc = len(A[0]) if nr else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        piv = next((i for i in range(r, nr) if abs(A[i][c]) > tol), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = A[r][c]
+        A[r] = [v / inv for v in A[r]]
+        for i in range(nr):
+            if i != r and A[i][c] != 0:
+                f = A[i][c]
+                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return A, pivots
+
+
+def _entry_bits(v):
+    return (type(v), v.hex()) if isinstance(v, float) else (type(v), v)
+
+
+def _random_matrix(rng, kind):
+    nr, nc = rng.integers(1, 8, size=2)
+    if kind == "float":
+        A = [[float(x) for x in row] for row in rng.normal(size=(nr, nc))]
+    else:
+        A = [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in range(nc)]
+             for _ in range(nr)]
+    if kind == "mixed":
+        for row in A:
+            row[int(rng.integers(nc))] = float(rng.normal())
+            row[int(rng.integers(nc))] = int(rng.integers(-3, 4))
+    if nr > 2:       # rank deficiency: one row a combination of two others
+        k = Fraction(int(rng.integers(-3, 4))) if kind != "float" else float(rng.normal())
+        A[-1] = [a + k * b for a, b in zip(A[0], A[1])]
+    if nc > 1:       # a zero column
+        z = int(rng.integers(nc))
+        for row in A:
+            row[z] = 0.0 if kind == "float" else Fraction(0)
+    return A
+
+
+class TestRrefOnArrays:
+    @pytest.mark.parametrize("kind", ["float", "fraction", "mixed"])
+    def test_matches_the_list_reduction_bit_for_bit(self, kind):
+        rng = np.random.default_rng(["float", "fraction", "mixed"].index(kind))
+        for _ in range(200):
+            rows = _random_matrix(rng, kind)
+            want, want_pivots = _reference_rref(rows)
+            inputs = [rows, np.array(rows)] if kind == "float" else [rows]
+            for given in inputs:
+                got, pivots = rational_rref(given)
+                assert pivots == want_pivots
+                assert [[_entry_bits(v) for v in row] for row in got.tolist()] == \
+                    [[_entry_bits(v) for v in row] for row in want]
+
+    def test_float_input_reduces_in_float64_and_is_not_modified(self):
+        M = np.array([[2.0, 4.0], [1.0, 3.0]])
+        rref, pivots = rational_rref(M)
+        assert rref.dtype == np.float64 and pivots == [0, 1]
+        assert M.tolist() == [[2.0, 4.0], [1.0, 3.0]]
+
+    def test_no_rows(self):
+        rref, pivots = rational_rref([])
+        assert rref.shape == (0, 0) and pivots == []
+
+
+class TestArithmeticResults:
+    def test_results_drop_zeros_and_keep_their_field(self):
+        p = Fraction(1, 3) * u1 ** 2 + u2 * u3
+        assert (p - p).terms == {}
+        assert (p * 0).terms == {}
+        q = (p * p).diff(0) + (-p).diff(1) * 2
+        assert all(type(c) is Fraction for c in q.terms.values())
+        assert q == Polynomial(dict(q.terms), 3)
+        assert all(type(c) is float for c in (p * 0.5).terms.values())
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            Polynomial({(1, 0): 1}, 3)
+        with pytest.raises(ValueError):
+            Polynomial({(-1, 0, 0): 1}, 3)
+        assert type(Polynomial({(1, 0, 0): 2}, 3).terms[(1, 0, 0)]) is Fraction
 
 
 class TestSerialization:
