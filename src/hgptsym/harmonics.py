@@ -380,22 +380,13 @@ def basis_change(n, real_style="orthonormal"):
 
     Memoised; ``a`` is read-only.
     """
-    basis = real_basis(n, real_style)
-    harms = complex_solid_harmonics(n)
-    monos = monomials_of_degree(n, 3)
-    index = {e: i for i, e in enumerate(monos)}
-    BI = _coeff_matrix(basis.polynomials, monos)  # (2n+1) x nm
-    H = np.zeros((2 * n + 1, len(monos)), dtype=complex)
-    for k, h in enumerate(harms):
-        for e, c in h.re.terms.items():
-            H[k, index[e]] += complex(c)
-        for e, c in h.im.terms.items():
-            H[k, index[e]] += 1j * complex(c)
-    # BI.T @ a[:, m] = H[m, :].T for each order m
-    a, res, rank, _ = np.linalg.lstsq(BI.T, H.T, rcond=None)
+    monos, A = monomial_expansion(n)
+    BI = _coeff_matrix(real_basis(n, real_style).polynomials, monos)  # (2n+1) x nm
+    # BI.T @ a[:, m] = A[:, m] for each order m
+    a, res, rank, _ = np.linalg.lstsq(BI.T, A, rcond=None)
     if rank < 2 * n + 1:
         raise RuntimeError("real basis of degree %d is rank-deficient" % n)
-    resid = float(np.max(np.abs(BI.T @ a - H.T)))
+    resid = float(np.max(np.abs(BI.T @ a - A)))
     if resid > 1e-9:
         raise RuntimeError("basis-change solve residual %g too large" % resid)
     a.flags.writeable = False

@@ -18,8 +18,6 @@ import numpy as np
 from . import invariants
 from .harmonics import basis_change, monomial_expansion, monomials_of_degree, real_basis
 
-REALITY_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class HgptMatrix:
@@ -96,7 +94,7 @@ def hgpt_from_cgpt(M, A_p=None, A_q=None, style="orthonormal"):
     """N_pq from a CGPT block: conjugate by the real<->complex basis change.
 
     Returns (HgptMatrix, imaginary_residue).  The residue is the largest
-    imaginary part discarded; it exceeds REALITY_TOL only for blocks that
+    imaginary part discarded; it exceeds 1e-9 only for blocks that
     did not come from a real-contrast problem.
     """
     if A_p is None:

@@ -8,6 +8,10 @@ dimension series with its harmonic counterpart h(t) = (1 - t^2) g(t),
 and the translation of fixed symmetric products into linear relations
 among HGPT coefficients.
 
+S_pq is built from its harmonic factors: its coefficient matrix is
+B_p (x) B_q and its action D_p (x) D_q, both folded onto the basis pairs
+by one convention (``_pairs``); no 6-variable polynomial is multiplied.
+
 There is one pipeline, written once over the field of the numbers it
 holds.  ``averaging_projector`` picks the field: ``Fraction`` when the
 space basis and the group are rational (C2, C4, D4, T, O, ...), float
@@ -91,6 +95,12 @@ class RepresentationSpace:
         return _read_only(np.array([[float(c) for c in row] for row in self.B]))
 
     @cached_property
+    def numerators(self):
+        """An exact ``B`` as (N, den), read-only Python ints with B = N / den."""
+        N, den = _integers(np.array(self.B, dtype=object))
+        return _read_only(N), den
+
+    @cached_property
     def float_solver(self):
         """Fixed matrix A = V B^T (the basis at the sample points) and its
         pseudo-inverse L; the rank check runs here, once per space."""
@@ -111,9 +121,9 @@ class RepresentationSpace:
         rows = [c for c in pivots if c < m]
         if len(rows) < self.dim:
             raise RuntimeError("basis is rank-deficient")
-        A, a = _integers(np.array(self.B, dtype=object).T)
+        N, a = self.numerators
         L, l = _integers(rref[:, m:].T)
-        return _Solver(_read_only(A), _read_only(L), _read_only(np.array(rows)), a * l, l)
+        return _Solver(N.T, _read_only(L), _read_only(np.array(rows)), a * l, l)
 
     @cached_property
     def action_stacks(self):
@@ -160,21 +170,25 @@ def harmonic_space(p, style="integer"):
                                index_map, monos, tuple(tuple(r) for r in rows))
 
 
-def _product_monomials(p, q):
-    degs = {(p, q), (q, p)}
-    out = []
-    for dx, dy in degs:
-        for ex in monomials_of_degree(dx, 3):
-            for ey in monomials_of_degree(dy, 3):
-                out.append(ex + ey)
-    return sorted(set(out), reverse=True)
+@cache
+def _pairs(a, b):
+    """The S_pq basis pairs (I, J) of factors with a and b rows, in
+    ``index_map`` order: all pairs row-major for p != q, i <= j for p == q.
+    Pairs marked ``off`` (S_pp off the diagonal) are the symmetrised sum
+    X[i, j] + X[j, i], the others the plain product X[i, j].  Read-only."""
+    I, J = np.divmod(np.arange(a * b), b)
+    if a == b:
+        I, J = I[I <= J], J[I <= J]
+    return _read_only(I), _read_only(J), _read_only((I != J) & (a == b))
 
 
-def _lift(poly3, block):
-    """Embed a 3-variable polynomial into the x- or y-block of 6 variables."""
-    pad = (0, 0, 0)
-    return Polynomial({e + pad if block == "x" else pad + e: c
-                       for e, c in poly3.terms.items()}, 6)
+def _fold_rows(X):
+    """Rows X[i, j, ...] folded onto the pairs of ``_pairs``, in ``index_map`` order."""
+    I, J, off = _pairs(*X.shape[:2])
+    R = X[I, J]
+    if off.any():
+        R[off] += X[J[off], I[off]]
+    return R
 
 
 @cache
@@ -183,29 +197,35 @@ def symmetric_product_space(p, q, style="integer"):
 
     Dimension (2p+1)(2q+1) for p != q and (2p+1)(p+1) for p == q (the
     pair (i, j) with i <= j indexes the latter; the diagonal element is
-    I_p^i(x) I_p^i(y)).
+    I_p^i(x) I_p^i(y)).  Coefficients: B_p (x) B_q folded onto the pairs, in
+    integers over one denominator if exact; the basis is read off them.
     """
-    bp = real_basis(p, style).polynomials
-    bq = real_basis(q, style).polynomials
-    basis = []
-    index_map = []
-    for ii in range(2 * p + 1):
-        for jj in range(2 * q + 1):
-            i = ii - p
-            j = jj - q
-            if p == q and i > j:
-                continue
-            ex = _lift(bp[ii], "x") * _lift(bq[jj], "y")
-            if p == q and i == j:
-                elem = ex
-            else:
-                elem = ex + _lift(bp[ii], "y") * _lift(bq[jj], "x")
-            basis.append(elem)
-            index_map.append((i, j))
-    monos = tuple(_product_monomials(p, q))
-    rows = _coeff_rows(basis, monos)
-    return RepresentationSpace("symmetric_product", p, q, style, tuple(basis),
-                               tuple(index_map), monos, tuple(tuple(r) for r in rows))
+    hp, hq = harmonic_space(p, style), harmonic_space(q, style)
+    exact = hp.is_exact
+    (Bp, bp), (Bq, bq) = (h.numerators if exact else (h.coefficients, 1) for h in (hp, hq))
+    # I_p^i(x) I_q^j(y) at x^u y^v, folded onto the pairs k: R[k, u, v]
+    R = _fold_rows(Bp[:, None, :, None] * Bq[None, :, None, :])
+    n = len(R)
+    C = R.reshape(n, -1)
+    monos = [u + v for u in hp.monomials for v in hq.monomials]   # sorted, as hp's and hq's
+    if p != q:                        # + I_p^i(y) I_q^j(x), at x^v y^u
+        monos += [v + u for v in hq.monomials for u in hp.monomials]
+        order = sorted(range(len(monos)), key=monos.__getitem__, reverse=True)
+        C = np.hstack([C, R.transpose(0, 2, 1).reshape(n, -1)])[:, order]
+        monos = [monos[k] for k in order]
+    # Fractions and basis terms for the nonzero entries only
+    rk, ck = np.nonzero(C)
+    values = [_F(c, bp * bq) if exact else c for c in C[rk, ck].tolist()]
+    rows = [[_F(0) if exact else 0.0] * len(monos) for _ in range(n)]
+    terms = [{} for _ in range(n)]
+    for r, c, v in zip(rk.tolist(), ck.tolist(), values):
+        rows[r][c] = v
+        terms[r][monos[c]] = v
+    I, J, _ = _pairs(len(Bp), len(Bq))
+    return RepresentationSpace("symmetric_product", p, q, style,
+                               tuple(Polynomial._make(t, 6) for t in terms),
+                               tuple(zip((I - p).tolist(), (J - q).tolist())),
+                               tuple(monos), tuple(map(tuple, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +336,12 @@ def action_stack(space, group):
     return D
 
 
-def _fold(K, symmetric):
-    """pi on S_pq, in ``index_map`` order, from K[i, j, k, l] = Dp[i, k] Dq[j, l].
-
-    p != q: the Kronecker product.  p == q: row (i, j), i < j, is
-    K[i, j, k, l] + K[j, i, k, l] over pairs k <= l; row (i, i) is
-    K[i, i, k, l].  Linear in K, so it folds a sum of such products too.
-    """
-    a, b = K.shape[:2]
-    if not symmetric:
-        return K.reshape(a * b, a * b)
-    iu, ju = np.triu_indices(a)
-    P = K[iu, ju][:, iu, ju]
-    off = iu != ju
-    P[off] += K[ju[off], iu[off]][:, iu, ju]
-    return P
+def _fold(K):
+    """pi on S_pq, in ``index_map`` order, from K[i, j, k, l] = Dp[i, k] Dq[j, l]:
+    the rows folded onto the pairs, then the columns of the pairs selected.
+    Linear in K, so it folds a sum of such products too."""
+    I, J, _ = _pairs(*K.shape[:2])
+    return _fold_rows(K)[:, I, J]
 
 
 def _action_sum(space, actions):
@@ -350,7 +361,7 @@ def _action_sum(space, actions):
     n, a, _ = Dp.shape
     b = Dq.shape[1]
     K = Dp.reshape(n, a * a).T @ Dq.reshape(n, b * b)          # [(i, k), (j, l)]
-    return _fold(K.reshape(a, a, b, b).transpose(0, 2, 1, 3), space.p == space.q), dp * dq
+    return _fold(K.reshape(a, a, b, b).transpose(0, 2, 1, 3)), dp * dq
 
 
 def action_matrix(space, R, exact_R=None):
@@ -446,7 +457,7 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     # rows of M_pi applied to the basis, in monomial coordinates; exact rows
     # are multiplied in Python ints over the denominators of the row and of B
     exact = M.dtype == object
-    B, b = _integers(np.array(space.B, dtype=object)) if exact else (space.coefficients, 1)
+    B, b = space.numerators if exact else (space.coefficients, 1)
     polys = []
     coeff_rows = []
     mono_rows = []
@@ -454,8 +465,8 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
         N, den = _integers(crow) if exact else (crow, 1)
         mono = np.array([_F(x, b * den) for x in N @ B], dtype=object) if exact else N @ B
         tol = zero_tolerance([mono])
-        poly = Polynomial({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
-                          space.basis[0].nvars)
+        poly = Polynomial._make({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
+                                space.basis[0].nvars)
         poly, scale = poly.canonicalized()
         polys.append(poly.snapped())
         coeff_rows.append(tuple((crow * scale).tolist()))
@@ -613,16 +624,15 @@ class CoefficientPattern:
     vectors: tuple
 
     def matrix_span(self):
-        """Basis of allowed N_pq blocks as (2p+1) x (2q+1) float matrices."""
-        mats = []
-        for v in self.vectors:
-            Mt = np.zeros((2 * self.p + 1, 2 * self.q + 1))
-            for c, (i, j) in zip(v, self.pairs):
-                Mt[i + self.p, j + self.q] += float(c)
-                if self.p == self.q and i != j:
-                    Mt[j + self.p, i + self.q] += float(c)
-            mats.append(Mt)
-        return mats
+        """Basis of allowed N_pq blocks as (2p+1) x (2q+1) float matrices:
+        each vector placed by the transpose of the fold (``_pairs``)."""
+        shape = (2 * self.p + 1, 2 * self.q + 1)
+        I, J, off = _pairs(*shape)
+        V = np.array(self.vectors, dtype=float).reshape(-1, len(I))
+        M = np.zeros((len(V),) + shape)
+        M[:, I, J] += V
+        M[:, J[off], I[off]] += V[:, off]
+        return list(M)
 
 
 def coefficient_pattern(inv):

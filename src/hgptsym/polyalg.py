@@ -278,7 +278,7 @@ class Polynomial:
                 return self
             f = Fraction(float(c)).limit_denominator(max_den)
             terms[e] = f if abs(float(f) - float(c)) <= tol else c
-        return Polynomial(terms, self.nvars)
+        return Polynomial._make(terms, self.nvars)
 
     # ---- text / JSON form ---------------------------------------------------
 

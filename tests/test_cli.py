@@ -1,5 +1,6 @@
 """CLI surface: JSON schema, table output, determinism, error handling."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -144,6 +145,12 @@ class TestRegenerateTables:
         assert by_key[("C6", 2, 2)] == 3
         one = json.loads((tmp_path / "tables" / "C4_S11.json").read_text())
         assert one["dimension"] == 2
+        # the golden tables: sha256 of the 52 documents in filename order,
+        # as `cat tables/*.json | sha256sum` reads them
+        files = sorted((tmp_path / "tables").iterdir())
+        assert len(files) == 52
+        digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+        assert digest == "78a1a4f43d7cd9237f55e82c044e4ecdbb1c57a299008f46616501f7a53240ea"
 
 
 class TestErrors:

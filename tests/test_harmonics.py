@@ -137,6 +137,29 @@ class TestBasisChange:
             assert abs(complex(vals @ A[:, k]) - h.evaluate(pt)) < 1e-10
 
 
+def _basis_change_from_terms(n, style):
+    """``a`` of basis_change with the complex target written out from the
+    solid harmonics' real and imaginary terms."""
+    monos = H.monomials_of_degree(n, 3)
+    index = {e: i for i, e in enumerate(monos)}
+    BI = H._coeff_matrix(H.real_basis(n, style).polynomials, monos)
+    target = np.zeros((2 * n + 1, len(monos)), dtype=complex)
+    for k, h in enumerate(H.complex_solid_harmonics(n)):
+        for e, c in h.re.terms.items():
+            target[k, index[e]] += complex(c)
+        for e, c in h.im.terms.items():
+            target[k, index[e]] += 1j * complex(c)
+    return np.linalg.lstsq(BI.T, target.T, rcond=None)[0]
+
+
+class TestBasisChangeTarget:
+    @pytest.mark.parametrize("style", ["integer", "orthonormal"])
+    @pytest.mark.parametrize("n", range(9))
+    def test_target_is_the_monomial_expansion(self, n, style):
+        a = H.basis_change(n, style).a
+        assert a.tobytes() == _basis_change_from_terms(n, style).tobytes()
+
+
 class TestGreenExpansion:
     def test_converges_to_exact(self):
         x = (1.1, -0.3, 0.7)

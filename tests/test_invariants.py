@@ -8,6 +8,8 @@ import pytest
 from conftest import span_equal
 from hgptsym import invariants as inv
 from hgptsym import symgroups as sg
+from hgptsym.harmonics import monomials_of_degree, real_basis
+from hgptsym.polyalg import Polynomial
 
 F = Fraction
 
@@ -40,6 +42,34 @@ class TestRepresentationSpaces:
         space = inv.symmetric_product_space(2, 2)
         for b in space.basis:
             assert b.degree() == 4 and b.is_homogeneous()
+
+    @pytest.mark.parametrize("style", ["integer", "orthonormal"])
+    @pytest.mark.parametrize("p", range(7))
+    def test_folded_space_equals_polynomial_products(self, p, style):
+        for q in range(7):
+            space = inv.symmetric_product_space(p, q, style)
+            basis, index_map, monos, rows = _product_space_from_polynomials(p, q, style)
+            assert space.monomials == monos
+            assert space.index_map == index_map
+            assert [list(map(type, r)) for r in space.B] == [list(map(type, r)) for r in rows]
+            assert space.B == rows
+            assert np.array_equal(_bits(space.B), _bits(rows))      # +0.0 for zeros
+            assert space.coefficients.tobytes() == np.array(rows, dtype=float).tobytes()
+            assert space.basis == basis
+            assert [b.to_text() for b in space.basis] == [b.to_text() for b in basis]
+
+    @pytest.mark.parametrize("style", ["integer", "orthonormal"])
+    def test_space_multiplies_no_polynomial(self, style, monkeypatch):
+        for d in (2, 3):
+            inv.harmonic_space(d, style)
+
+        def refuse(*args):
+            raise AssertionError("polynomial product")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        monkeypatch.setattr(Polynomial, "__rmul__", refuse)
+        for p, q in [(2, 3), (3, 3)]:
+            assert inv.symmetric_product_space.__wrapped__(p, q, style).dim > 0
 
 
 class TestActionMatrices:
@@ -284,11 +314,67 @@ class TestCoefficientPattern:
         for M in inv.coefficient_pattern(sub).matrix_span():
             assert np.max(np.abs(M - M.T)) == 0
 
+    @pytest.mark.parametrize("style", ["integer", "orthonormal"])
+    @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 3)])
+    def test_matrix_span_evaluates_the_space(self, p, q, style, rng):
+        # sum_k v_k S_k(x, y) = f(x, y) + [p != q] f(y, x), f = I_p(x)^T Mt I_q(y)
+        space = inv.symmetric_product_space(p, q, style)
+        v = rng.normal(size=space.dim)
+        pattern = inv.CoefficientPattern(p, q, style, "random", space.index_map,
+                                         (), (), {}, (tuple(v),))
+        (Mt,) = pattern.matrix_span()
+
+        def harmonics(d, x):
+            return np.array([float(b.evaluate(tuple(x))) for b in real_basis(d, style).polynomials])
+
+        def f(x, y):
+            return harmonics(p, x) @ Mt @ harmonics(q, y)
+
+        for x, y in rng.normal(size=(4, 2, 3)):
+            got = sum(c * float(S.evaluate(tuple(x) + tuple(y))) for c, S in zip(v, space.basis))
+            want = f(x, y) + (f(y, x) if p != q else 0.0)
+            assert abs(got - want) <= 1e-11 * max(1.0, abs(want))
+
     def test_pattern_requires_product_space(self):
         g = sg.build_group("C2")
         sub = inv.invariant_subspace(inv.harmonic_space(2), g)
         with pytest.raises(ValueError):
             inv.coefficient_pattern(sub)
+
+
+def _product_space_from_polynomials(p, q, style):
+    """S_pq built from 6-variable polynomial products, as before it was
+    folded from its factors: (basis, index_map, monomials, coefficient rows)."""
+    def lift(poly3, block):
+        pad = (0, 0, 0)
+        return Polynomial({e + pad if block == "x" else pad + e: c
+                           for e, c in poly3.terms.items()}, 6)
+
+    bp = real_basis(p, style).polynomials
+    bq = real_basis(q, style).polynomials
+    basis, index_map = [], []
+    for ii in range(2 * p + 1):
+        for jj in range(2 * q + 1):
+            i, j = ii - p, jj - q
+            if p == q and i > j:
+                continue
+            elem = lift(bp[ii], "x") * lift(bq[jj], "y")
+            if p != q or i != j:
+                elem = elem + lift(bp[ii], "y") * lift(bq[jj], "x")
+            basis.append(elem)
+            index_map.append((i, j))
+    monos = sorted({ex + ey for dx, dy in {(p, q), (q, p)}
+                    for ex in monomials_of_degree(dx, 3)
+                    for ey in monomials_of_degree(dy, 3)}, reverse=True)
+    index = {e: k for k, e in enumerate(monos)}
+    rows = []
+    for b in basis:
+        cast = F if b.is_exact() else float
+        row = [cast(0)] * len(monos)
+        for e, c in b.terms.items():
+            row[index[e]] = cast(c)
+        rows.append(tuple(row))
+    return tuple(basis), tuple(index_map), tuple(monos), tuple(rows)
 
 
 # ---------------------------------------------------------------------------

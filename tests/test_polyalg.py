@@ -111,6 +111,14 @@ class TestCanonicalization:
         assert s.coefficient((1, 0, 0)) == 1
         assert s.coefficient((0, 1, 0)) == Fraction(1, 2)
 
+    def test_snapped_keeps_the_field_of_each_coefficient(self):
+        p = 1e-12 * u1 + 0.25 * u2 + np.pi * u3 + np.float64(-1.5) * u1 * u2
+        s = p.snapped()
+        assert s.terms == {(0, 1, 0): Fraction(1, 4), (0, 0, 1): np.pi,
+                           (1, 1, 0): Fraction(-3, 2)}
+        assert type(s.terms[(0, 0, 1)]) is float
+        assert all(type(s.terms[e]) is Fraction for e in [(0, 1, 0), (1, 1, 0)])
+
 
 class TestKelvin:
     def test_degree_two(self):
