@@ -21,7 +21,7 @@ for b in space.basis:
 # basis[i] composed with R, expanded back in the basis.
 print("\naction matrices:")
 for E in g.exact_elements:
-    P = inv.action_matrix(space, E, exact_R=E)
+    P = inv.action_matrix(space, E)
     print("   ", [[str(v) for v in row] for row in P])
 
 # Their average is the projector onto the fixed subspace; its trace is the

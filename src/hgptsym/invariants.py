@@ -13,11 +13,14 @@ B_p (x) B_q and its action D_p (x) D_q, both folded onto the basis pairs
 by one convention (``_pairs``); no 6-variable polynomial is multiplied.
 
 There is one pipeline, written once over the field of the numbers it
-holds.  ``averaging_projector`` picks the field: ``Fraction`` when the
-space basis and the group are rational (C2, C4, D4, T, O, ...), float
-otherwise (C3, C5, C6, icosahedral, ...).  Every later step follows the
-field of the projector: exact zero tests on Fractions, one relative
-tolerance on floats (``polyalg.zero_tolerance``).
+holds, and each step reads the field off its inputs.  An action matrix
+is exact when the space basis is exact and R's entries are ints or
+Fractions (``polyalg.is_rational``); a stack of elements acts in its own
+dtype.  The projector is ``Fraction`` when the space basis and the group
+are rational (C2, C4, D4, T, O, ...), float otherwise (C3, C5, C6,
+icosahedral, ...).  Every later step follows the field of the projector:
+exact zero tests on Fractions, one relative tolerance on floats
+(``polyalg.zero_tolerance``).
 
 Group actions are stacked.  Each space holds a left inverse L of a fixed
 matrix A (its basis at sample points for floats, its coefficient matrix
@@ -46,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonics import monomials_of_degree, real_basis
-from .polyalg import Polynomial, rational_rref, zero_tolerance
+from .polyalg import Polynomial, is_rational, rational_rref, zero_tolerance
 
 _F = Fraction
 
@@ -92,12 +95,14 @@ class RepresentationSpace:
     @cached_property
     def coefficients(self):
         """``B`` as a read-only float array."""
-        return _read_only(np.array([[float(c) for c in row] for row in self.B]))
+        N, den = self.numerators
+        return _read_only((N / den).astype(float))
 
     @cached_property
     def numerators(self):
-        """An exact ``B`` as (N, den), read-only Python ints with B = N / den."""
-        N, den = _integers(np.array(self.B, dtype=object))
+        """``B`` as (N, den) with B = N / den: read-only Python ints if exact,
+        the float entries over 1 otherwise."""
+        N, den = _integers(np.array(self.B))
         return _read_only(N), den
 
     @cached_property
@@ -202,7 +207,7 @@ def symmetric_product_space(p, q, style="integer"):
     """
     hp, hq = harmonic_space(p, style), harmonic_space(q, style)
     exact = hp.is_exact
-    (Bp, bp), (Bq, bq) = (h.numerators if exact else (h.coefficients, 1) for h in (hp, hq))
+    (Bp, bp), (Bq, bq) = hp.numerators, hq.numerators
     # I_p^i(x) I_q^j(y) at x^u y^v, folded onto the pairs k: R[k, u, v]
     R = _fold_rows(Bp[:, None, :, None] * Bq[None, :, None, :])
     n = len(R)
@@ -272,11 +277,11 @@ def _monomial_values(X, monomials):
     return G[..., :m] * G[..., m:2 * m] * G[..., 2 * m:]
 
 
-def _composed_values(space, S, exact):
+def _composed_values(space, S):
     """F: the basis composed with each R of the stack S, in the coordinates
-    of the solver, shape (n, rows of A, d).  Exact: the coefficients of
-    ``basis[i] o R``.  Float: the basis at the rotated sample points R X."""
-    if exact:
+    of the solver, shape (n, rows of A, d).  Fraction S: the coefficients of
+    ``basis[i] o R``.  Float S: the basis at the rotated sample points R X."""
+    if S.dtype == object:
         return np.array([_coeff_rows([b.compose_linear(R) for b in space.basis],
                                      space.monomials) for R in S], dtype=object).transpose(0, 2, 1)
     X, _ = _sample_values(space.monomials)
@@ -284,31 +289,35 @@ def _composed_values(space, S, exact):
 
 
 def _integers(D):
-    """A Fraction array D as (N, den), Python ints with D = N / den."""
+    """A Fraction array D as (N, den), Python ints with D = N / den; a float
+    array as (D, 1)."""
+    if D.dtype != object:
+        return D, 1
     den = math.lcm(*(x.denominator for x in D.flat))
     N = np.array([x.numerator * (den // x.denominator) for x in D.flat], dtype=object)
     return N.reshape(D.shape), den
 
 
-def _harmonic_action(space, S, exact):
+def _harmonic_action(space, S):
     """D(R) for each R of the stack S on a 3-variable space, as (N, den)
     with the (n, d, d) actions N / den: row i of D(R) holds basis[i] o R.
 
-    D(R)^T = L F(R) with the left inverse L of the solver's A; the residual
-    A D(R)^T - F(R), which proves basis o R lies in the span, is checked for
-    every element: exactly zero in Python ints for Fractions, within
-    ``SOLVE_TOL`` for floats, evaluated ``SAMPLE_BLOCK`` values at a time.
+    The field is that of S: Fractions (object dtype) on an exact space, or
+    float64.  D(R)^T = L F(R) with the left inverse L of the solver's A; the
+    residual A D(R)^T - F(R), which proves basis o R lies in the span, is
+    checked for every element: exactly zero in Python ints for Fractions,
+    within ``SOLVE_TOL`` for floats, evaluated ``SAMPLE_BLOCK`` values at a
+    time.
     """
+    exact = S.dtype == object
     A, L, rows, scale, den = space.exact_solver if exact else space.float_solver
     step = len(S) if exact else max(1, SAMPLE_BLOCK // (len(A) * len(space.monomials)))
     if len(S) > step:
-        return np.concatenate([_harmonic_action(space, S[i:i + step], exact)[0]
+        return np.concatenate([_harmonic_action(space, S[i:i + step])[0]
                                for i in range(0, len(S), step)]), den
-    F = _composed_values(space, S, exact)
-    F, f = _integers(F) if exact else (F, 1)
+    F, f = _integers(_composed_values(space, S))
     Dt = L @ F[:, rows]
-    if exact:
-        F = scale * F
+    F = scale * F
     resid = abs(A @ Dt - F).max((1, 2)) / np.maximum(abs(F).max((1, 2)), 1e-300)
     bad = resid > (0 if exact else SOLVE_TOL)
     if bad.any():
@@ -329,7 +338,7 @@ def action_stack(space, group):
     memo = space.action_stacks
     D = memo.pop(group, None)               # re-inserted below as the newest
     if D is None:
-        D = _read_only(np.ascontiguousarray(_harmonic_action(space, group.stack, False)[0]))
+        D = _read_only(np.ascontiguousarray(_harmonic_action(space, group.stack)[0]))
         if len(memo) >= STACK_MEMO:
             del memo[next(iter(memo))]
     memo[group] = D
@@ -364,19 +373,17 @@ def _action_sum(space, actions):
     return _fold(K.reshape(a, a, b, b).transpose(0, 2, 1, 3)), dp * dq
 
 
-def action_matrix(space, R, exact_R=None):
+def action_matrix(space, R):
     """Matrix pi(R): row i holds the coefficients of basis[i] o R in the basis.
 
-    Exact when the space basis and R are rational (pass ``exact_R`` as rows
-    of Fractions; the result is rows of Fractions); otherwise float.  The
-    same path as the float projector, over a stack of one element.
+    The field is that of R: rows of Fractions when the space basis is exact
+    and R's entries are ints or Fractions (``polyalg.is_rational``), a float
+    array otherwise.  The same path as the float projector, over a stack of
+    one element.
     """
-    def actions(h):
-        if exact_R is not None and h.is_exact:
-            return _harmonic_action(h, [exact_R], True)
-        return _harmonic_action(h, np.asarray(R, dtype=float)[None], False)
-
-    N, den = _action_sum(space, actions)
+    R = np.array(R, dtype=object)
+    S = (R if space.is_exact and all(map(is_rational, R.flat)) else R.astype(float))[None]
+    N, den = _action_sum(space, lambda h: _harmonic_action(h, S))
     if N.dtype == object:
         return [[_F(x, den) for x in row] for row in N]
     return N
@@ -393,7 +400,7 @@ def averaging_projector(space, group):
     folded once.
     """
     if space.is_exact and group.is_rational:
-        total = sum(np.asarray(action_matrix(space, E, E)) for E in group.exact_elements)
+        total = sum(np.asarray(action_matrix(space, E)) for E in group.exact_elements)
         return (total / group.order).tolist()
     N, _ = _action_sum(space, lambda h: (action_stack(h, group), 1))
     return N / group.order
@@ -455,14 +462,16 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     if m == 0:
         return InvariantSubspace(space, group.name, 0, (), (), ())
     # rows of M_pi applied to the basis, in monomial coordinates; exact rows
-    # are multiplied in Python ints over the denominators of the row and of B
+    # are multiplied in Python ints over the denominators of the row and of B.
+    # B follows the field of M, not of the space: a float M on an integer-style
+    # space multiplies the float ``coefficients``, not object-dtype numerators
     exact = M.dtype == object
     B, b = space.numerators if exact else (space.coefficients, 1)
     polys = []
     coeff_rows = []
     mono_rows = []
     for crow in M[_select_independent_rows(M, m)]:
-        N, den = _integers(crow) if exact else (crow, 1)
+        N, den = _integers(crow)
         mono = np.array([_F(x, b * den) for x in N @ B], dtype=object) if exact else N @ B
         tol = zero_tolerance([mono])
         poly = Polynomial._make({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},

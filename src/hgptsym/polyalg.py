@@ -18,10 +18,13 @@ VAR_NAMES_3 = ("x1", "x2", "x3")
 VAR_NAMES_6 = ("x1", "x2", "x3", "y1", "y2", "y3")
 
 
+def is_rational(c):
+    """Whether c is an exact scalar: an int (not a bool) or a Fraction."""
+    return isinstance(c, (int, Fraction)) and not isinstance(c, bool)
+
+
 def _coerce(c):
-    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
-        return Fraction(c)
-    return c
+    return Fraction(c) if is_rational(c) else c
 
 
 def _is_exact(c):

@@ -8,9 +8,11 @@ parallel to x2).  Type-2 groups adjoin the central inversion J; Type-3
 groups arise from a rotational group G2 with an index-2 subgroup G1 as
 G1 together with J*(G2 \\ G1).
 
-Groups whose matrices are rational (C1, C2, C4, D1, D2, D4, T, O and
-their J-extensions) carry exact Fraction matrices alongside the float
-ones, so downstream linear algebra can run in exact arithmetic.
+A group's field is the field of its generators.  Generators given as ints
+or Fractions close to a rational group (the built-in C1, C2, C4, D1, D2,
+D4, T, O and their J-extensions), which carries exact Fraction matrices
+alongside the float ones, so downstream linear algebra can run in exact
+arithmetic; float generators close to a float group.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from fractions import Fraction
 from functools import cache
 
 import numpy as np
+
+from .polyalg import is_rational
 
 MATCH_TOL = 1e-9
 MAX_ORDER = 240
@@ -92,20 +96,15 @@ class GroupReport:
 # generators
 # ---------------------------------------------------------------------------
 
-def _rot_z(k, n):
-    """Rotation by 2*pi*k/n about x3; exact for n in {1, 2, 4}."""
-    if n in (1, 2, 4):
-        c = {0: 1, 1: 0, 2: -1, 3: 0}[(4 * k // n) % 4]
-        s = {0: 0, 1: 1, 2: 0, 3: -1}[(4 * k // n) % 4]
-        return ((_F(c), _F(-s), _F(0)), (_F(s), _F(c), _F(0)), (_F(0), _F(0), _F(1)))
-    th = 2.0 * math.pi * k / n
-    c, s = math.cos(th), math.sin(th)
-    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+def _rot_z(n):
+    """Rotation by 2*pi/n about x3; in integers for n in {1, 2, 4}."""
+    th = 2.0 * math.pi / n
+    c, s = {1: (1, 0), 2: (-1, 0), 4: (0, 1)}.get(n, (math.cos(th), math.sin(th)))
+    return ((c, -s, 0), (s, c, 0), (0, 0, 1))
 
 
-_ROT2_X1 = ((_F(1), _F(0), _F(0)), (_F(0), _F(-1), _F(0)), (_F(0), _F(0), _F(-1)))
-_CYCLE_XYZ = ((_F(0), _F(0), _F(1)), (_F(1), _F(0), _F(0)), (_F(0), _F(1), _F(0)))
-_ROT4_X3 = ((_F(0), _F(-1), _F(0)), (_F(1), _F(0), _F(0)), (_F(0), _F(0), _F(1)))
+_ROT2_X1 = ((1, 0, 0), (0, -1, 0), (0, 0, -1))
+_CYCLE_XYZ = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 
 
 def _axis_rotation(axis, angle):
@@ -120,9 +119,7 @@ def _icosahedral_generators():
     # vertex set (+-phi, +-1, 0), (0, +-phi, +-1), (+-1, 0, +-phi): the edge
     # crossed by the x1 axis joins (phi, 1, 0) and (phi, -1, 0), parallel to x2
     phi = (1.0 + math.sqrt(5.0)) / 2.0
-    g2 = np.array(_ROT2_X1, dtype=float)
-    g5 = _axis_rotation((phi, 1.0, 0.0), 2.0 * math.pi / 5.0)
-    return [g2, g5]
+    return [_ROT2_X1, _axis_rotation((phi, 1.0, 0.0), 2.0 * math.pi / 5.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,89 +151,63 @@ def _contains(elements, M, tol=MATCH_TOL):
     return bool(_nearest(M, elements)[0] < tol)
 
 
-def _close_float(generators, max_order=MAX_ORDER):
-    elems = np.empty((max_order, 3, 3))
-    elems[0] = np.eye(3)
-    gens = [np.asarray(g, dtype=float) for g in generators]
-    i, n = 0, 1
-    while i < n:                # breadth first: elements in the order found
-        for g in gens:
-            P = g @ elems[i]
-            if not _contains(elems[:n], P):
-                if n == max_order:
+def _group(name, generators, expected_order=None):
+    """Closure of the generators, breadth first, in their own field: in
+    Fractions, kept as ``exact_elements``, if every entry is an int or a
+    Fraction (``polyalg.is_rational``), else in floats.  A product is matched
+    against the elements found so far in floats."""
+    gens = [np.array(G, dtype=object).reshape(3, 3) for G in generators]
+    exact = all(is_rational(x) for G in gens for x in G.flat)
+    cast = np.frompyfunc(_F, 1, 1) if exact else (lambda A: A.astype(float))
+    gens = [cast(G) for G in gens]
+    elems = [cast(np.identity(3, dtype=object))]
+    found = np.empty((MAX_ORDER, 3, 3))
+    found[0] = elems[0]
+    for E in elems:             # the loop visits appended elements too
+        for G in gens:
+            P = G @ E
+            if not _contains(found[:len(elems)], P):
+                if len(elems) == MAX_ORDER:
                     raise ValueError(
-                        "closure exceeded %d elements; bad group spec" % max_order)
-                elems[n] = P
-                n += 1
-        i += 1
-    return elems[:n]
-
-
-def _close_exact(generators, max_order=MAX_ORDER):
-    ident = tuple(tuple(_F(1) if i == j else _F(0) for j in range(3)) for i in range(3))
-
-    def mul(A, B):
-        return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
-                     for i in range(3))
-
-    seen = {ident}
-    order = [ident]
-    gens = [tuple(tuple(_F(v) for v in row) for row in g) for g in generators]
-    for E in order:             # breadth first: the loop visits appended elements too
-        for g in gens:
-            P = mul(g, E)
-            if P not in seen:
-                seen.add(P)
-                order.append(P)
-                if len(order) > max_order:
-                    raise ValueError(
-                        "closure exceeded %d elements; bad group spec" % max_order)
-    return order
-
-
-def _group_from_exact(name, exact_gens, expected_order=None):
-    exact = tuple(_close_exact(exact_gens))
-    return _check_expected(PointGroup(name, exact, exact_gens, exact), expected_order)
-
-
-def _group_from_float(name, gens, expected_order=None):
-    return _check_expected(PointGroup(name, _close_float(gens), gens), expected_order)
-
-
-def _check_expected(g, expected_order):
+                        "closure exceeded %d elements; bad group spec" % MAX_ORDER)
+                found[len(elems)] = P
+                elems.append(P)
+    g = PointGroup(name, found[:len(elems)], gens,
+                   tuple(tuple(map(tuple, E.tolist())) for E in elems) if exact else None)
     if expected_order is not None and g.order != expected_order:
         raise RuntimeError("group %s has order %d, expected %d"
-                           % (g.name, g.order, expected_order))
+                           % (name, g.order, expected_order))
     return g
 
 
-def group_from_generators(name, generators, exact=False):
-    """Closure of explicit generator matrices (rows of rows; Fractions if exact)."""
-    if exact:
-        return _group_from_exact(name, generators)
-    return _group_from_float(name, generators)
+def group_from_generators(name, generators):
+    """Closure of explicit generator matrices, rational if their entries are."""
+    return _group(name, generators)
 
 
 # ---------------------------------------------------------------------------
 # the built-in families
 # ---------------------------------------------------------------------------
 
+EXPECTED_ORDERS = {"C": lambda n: n, "D": lambda n: 2 * n,
+                   "T": lambda n: 12, "O": lambda n: 24, "I": lambda n: 60}
+
+_GENERATORS = {"C": lambda n: [_rot_z(n)], "D": lambda n: [_rot_z(n), _ROT2_X1],
+               "T": lambda n: [_ROT2_X1, _CYCLE_XYZ],
+               "O": lambda n: [_ROT2_X1, _CYCLE_XYZ, _rot_z(4)],
+               "I": lambda n: _icosahedral_generators()}
+
+
 def _base_group(family, n):
-    if family in ("C", "D"):
-        if n < 1:
-            raise ValueError("%s order must be >= 1"
-                             % ("cyclic" if family == "C" else "dihedral"))
-        make = _group_from_exact if n in (1, 2, 4) else _group_from_float
-        if family == "C":
-            return make("C%d" % n, [_rot_z(1, n)], n)
-        return make("D%d" % n, [_rot_z(1, n), _ROT2_X1], 2 * n)
-    if family == "T":
-        return _group_from_exact("T", [_ROT2_X1, _CYCLE_XYZ], 12)
-    if family == "O":
-        return _group_from_exact("O", [_ROT2_X1, _CYCLE_XYZ, _ROT4_X3], 24)
-    if family == "I":
-        return _group_from_float("I", _icosahedral_generators(), 60)
-    raise ValueError("unknown family %r" % family)
+    if family in ("C", "D") and n < 1:
+        raise ValueError("%s order must be >= 1"
+                         % ("cyclic" if family == "C" else "dihedral"))
+    name = family + str(n) if family in ("C", "D") else family
+    return _group(name, _GENERATORS[family](n), EXPECTED_ORDERS[family](n))
+
+
+def _negated(E):
+    return tuple(tuple(-x for x in row) for row in E)
 
 
 def adjoin_inversion(g):
@@ -244,32 +215,33 @@ def adjoin_inversion(g):
     J = np.array(J_MATRIX, dtype=float)
     elems = np.concatenate([g.stack, J @ g.stack])
     exact = None
-    if g.exact_elements is not None:
-        exact = tuple(g.exact_elements) + tuple(
-            tuple(tuple(-x for x in row) for row in E) for E in g.exact_elements)
+    if g.is_rational:
+        exact = tuple(g.exact_elements) + tuple(map(_negated, g.exact_elements))
     return PointGroup(g.name + "i", elems, g.generators + (J,), exact)
 
 
 def type3_group(g2, g1):
-    """G1 together with J*(G2 \\ G1); G1 must be an index-2 subgroup of G2.
+    """G1 together with J*(G2 \\ G1); G1 must be an index-2 subgroup of G2,
+    and both must be rotation groups.
 
     The generators are those of G1 and J*h for one h in G2 \\ G1: G1 and h
     generate G2, and g -> g on G1, g -> J g off it is an isomorphism.
     """
+    if np.any(np.linalg.det(np.concatenate([g2.stack, g1.stack])) < 0):
+        raise ValueError("G2 and G1 of a Type-3 group must be rotation groups")
     if 2 * g1.order != g2.order:
         raise ValueError("G1 is not an index-2 subgroup of G2 (orders %d, %d)"
                          % (g1.order, g2.order))
     if not np.all(_nearest(g1.stack, g2.stack) < MATCH_TOL):
         raise ValueError("G1 is not a subgroup of G2")
     J = np.array(J_MATRIX, dtype=float)
-    coset = J @ g2.stack[~(_nearest(g2.stack, g1.stack) < MATCH_TOL)]
+    off = _nearest(g2.stack, g1.stack) >= MATCH_TOL       # G2 \ G1
+    coset = J @ g2.stack[off]
     elems = np.concatenate([g1.stack, coset])
     exact = None
-    if g1.exact_elements is not None and g2.exact_elements is not None:
-        g1set = set(g1.exact_elements)
+    if g1.is_rational and g2.is_rational:
         exact = tuple(g1.exact_elements) + tuple(
-            tuple(tuple(-x for x in row) for row in E)
-            for E in g2.exact_elements if E not in g1set)
+            _negated(E) for E, o in zip(g2.exact_elements, off) if o)
     name = "type3:%s/%s" % (g2.name, g1.name)
     return PointGroup(name, elems, g1.generators + (coset[0],), exact)
 
@@ -294,10 +266,6 @@ def build_group(name):
         raise ValueError("unknown group name %r" % name)
     g = _base_group(m.group(1) or m.group(3), int(m.group(2) or 0))
     return adjoin_inversion(g) if m.group(4) else g
-
-
-EXPECTED_ORDERS = {"C": lambda n: n, "D": lambda n: 2 * n,
-                   "T": lambda n: 12, "O": lambda n: 24, "I": lambda n: 60}
 
 
 # ---------------------------------------------------------------------------

@@ -127,8 +127,8 @@ def test_criterion_1_worked_example_exact():
     g = sg.build_group("C4")
     space = inv.symmetric_product_space(1, 1)
 
-    def pi(exact_R):
-        return inv.action_matrix(space, exact_R, exact_R=exact_R)
+    def pi(R):
+        return inv.action_matrix(space, R)
 
     R2 = tuple(tuple(map(F, r)) for r in ((0, -1, 0), (1, 0, 0), (0, 0, 1)))
     R3 = tuple(tuple(map(F, r)) for r in ((-1, 0, 0), (0, -1, 0), (0, 0, 1)))

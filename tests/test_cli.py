@@ -159,6 +159,14 @@ class TestErrors:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("spec", ["type3:C4i/C4", "type3:C2i/C1i"])
+    def test_type3_with_improper_groups_fails(self, capsys, spec):
+        for argv in (["group", "--name", spec],
+                     ["invariants", "--group", spec, "--p", "1", "--q", "1"]):
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            assert "rotation groups" in err
+
     def test_missing_blocks_file(self, capsys):
         code, _, err = run(capsys, ["forward", "--blocks", "/nonexistent.json",
                                     "--source", "0,0,2", "--receiver", "0,0,2"])

@@ -58,6 +58,22 @@ class TestRepresentationSpaces:
             assert space.basis == basis
             assert [b.to_text() for b in space.basis] == [b.to_text() for b in basis]
 
+    def test_coefficients_are_the_numerators_over_their_denominator(self):
+        # N / den in one array operation rounds as float(c) entry by entry
+        spaces = [inv.harmonic_space(p) for p in range(13)]
+        spaces += [inv.symmetric_product_space(p, q) for p in range(7) for q in range(7)]
+        assert len(spaces) == 62
+        for space in spaces:
+            assert space.is_exact
+            want = np.array([[float(c) for c in row] for row in space.B])
+            assert space.coefficients.tobytes() == want.tobytes(), (space.p, space.q)
+
+    def test_float_numerators_are_the_coefficients_over_one(self):
+        space = inv.symmetric_product_space(1, 2, "orthonormal")
+        N, den = space.numerators
+        assert den == 1 and N.dtype == float
+        assert N.tobytes() == space.coefficients.tobytes()
+
     @pytest.mark.parametrize("style", ["integer", "orthonormal"])
     def test_space_multiplies_no_polynomial(self, style, monkeypatch):
         for d in (2, 3):
@@ -77,7 +93,7 @@ class TestActionMatrices:
         g = sg.build_group("O")
         space = inv.harmonic_space(2)
         mats = [np.array([[float(v) for v in row]
-                          for row in inv.action_matrix(space, E, exact_R=E)])
+                          for row in inv.action_matrix(space, E)])
                 for E in g.exact_elements]
         flo = [np.asarray(E, dtype=float) for E in g.elements]
         # pi(R1 R2) = pi(R1) pi(R2) for a few pairs
@@ -122,7 +138,7 @@ class TestActionMatrices:
         pt = (F(1), F(-2, 3), F(3, 5), F(2), F(1, 7), F(-5, 4))
         values = [b.evaluate(pt) for b in space.basis]
         for X in g.exact_elements:
-            P = inv.action_matrix(space, X, exact_R=X)
+            P = inv.action_matrix(space, X)
             moved = tuple(sum(X[i][k] * v[k] for k in range(3))
                           for v in (pt[:3], pt[3:]) for i in range(3))
             for b, row in zip(space.basis, P):
@@ -143,12 +159,35 @@ class TestActionMatrices:
         with pytest.raises(RuntimeError, match="not in the span"):
             inv.action_matrix(space, about_x1)
 
+    @pytest.mark.parametrize("space", [inv.harmonic_space(2), inv.symmetric_product_space(1, 2)])
+    def test_field_of_the_action_is_the_field_of_r(self, space):
+        ints = sg._CYCLE_XYZ                   # a rotation with entries 0 and 1
+        X = tuple(tuple(map(F, row)) for row in ints)
+        for R in (X, ints, np.array(ints)):
+            P = inv.action_matrix(space, R)
+            assert all(type(v) is F for row in P for v in row)
+            assert P == inv.action_matrix(space, X)
+        floats = [np.array(X, dtype=float), np.array(ints, dtype=bool),
+                  [[float(v) for v in row] for row in X]]
+        for R in floats:
+            P = inv.action_matrix(space, R)
+            assert isinstance(P, np.ndarray) and P.dtype == float
+            assert np.max(np.abs(P - np.array(inv.action_matrix(space, X), dtype=float))) < 1e-12
+
+    def test_fraction_r_on_the_orthonormal_style_is_float(self):
+        X = sg.build_group("C4").exact_elements[1]
+        for space in (inv.harmonic_space(2, "orthonormal"),
+                      inv.symmetric_product_space(1, 1, "orthonormal")):
+            P = inv.action_matrix(space, X)
+            assert isinstance(P, np.ndarray) and P.dtype == float
+            assert np.array_equal(P, inv.action_matrix(space, np.array(X, dtype=float)))
+
     def test_float_matches_exact(self):
         g = sg.build_group("C4")
         space = inv.symmetric_product_space(1, 1)
         for E, X in zip(g.elements, g.exact_elements):
             Pe = np.array([[float(v) for v in row]
-                           for row in inv.action_matrix(space, X, exact_R=X)])
+                           for row in inv.action_matrix(space, X)])
             Pf = np.asarray(inv.action_matrix(space, E))
             assert np.max(np.abs(Pe - Pf)) < 1e-12
 
@@ -411,9 +450,9 @@ def _reference_projector(space, g):
     hq = inv.harmonic_space(space.q, space.style)
     total = 0
     for k, E in enumerate(g.elements):
-        X = g.exact_elements[k] if exact else None
-        Dp = np.array(inv.action_matrix(hp, E, exact_R=X))
-        Dq = np.array(inv.action_matrix(hq, E, exact_R=X))
+        R = g.exact_elements[k] if exact else E
+        Dp = np.array(inv.action_matrix(hp, R))
+        Dq = np.array(inv.action_matrix(hq, R))
         total = total + _reference_fold(np.kron(Dp, Dq), space)
     return total / g.order
 
@@ -454,7 +493,7 @@ class TestStackedProjector:
                 assert np.array_equal(stack[k], inv.action_matrix(space, E))
                 if exact:
                     X = g.exact_elements[k]
-                    mats.append(np.array(inv.action_matrix(space, X, exact_R=X)))
+                    mats.append(np.array(inv.action_matrix(space, X)))
                     assert np.max(np.abs(mats[-1].astype(float) - stack[k])) <= 1e-13
                 else:
                     mats.append(stack[k])
@@ -471,7 +510,7 @@ class TestStackedProjector:
         seen = []
         real = inv.action_matrix
         monkeypatch.setattr(inv, "action_matrix",
-                            lambda s, R, exact_R=None: seen.append(exact_R) or real(s, R, exact_R))
+                            lambda s, R: seen.append(R) or real(s, R))
         inv.averaging_projector(space, g)
         assert seen == list(g.exact_elements)
 
@@ -600,7 +639,7 @@ class TestBatchedActions:
         g = sg.build_group(name)
         for m in range(9):
             space = inv.harmonic_space(m, style)
-            D, den = inv._harmonic_action(space, g.stack, False)
+            D, den = inv._harmonic_action(space, g.stack)
             assert den == 1 and D.shape == (g.order, space.dim, space.dim)
             one = np.array([inv.action_matrix(space, E) for E in g.elements])
             assert np.array_equal(_bits(D), _bits(one)), m
@@ -611,9 +650,9 @@ class TestBatchedActions:
     def test_blocking_does_not_change_the_stack(self, block, monkeypatch):
         g = sg.build_group("I")
         space = inv.harmonic_space(5)
-        want = _bits(inv._harmonic_action(space, g.stack, False)[0])
+        want = _bits(inv._harmonic_action(space, g.stack)[0])
         monkeypatch.setattr(inv, "SAMPLE_BLOCK", block)
-        assert np.array_equal(_bits(inv._harmonic_action(space, g.stack, False)[0]), want)
+        assert np.array_equal(_bits(inv._harmonic_action(space, g.stack)[0]), want)
 
     @pytest.mark.parametrize("m", range(13))
     def test_monomial_values_match_direct_evaluation(self, m, rng):

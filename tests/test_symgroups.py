@@ -1,5 +1,7 @@
 """Point-group construction, closure, and the three group types."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,12 @@ class TestType3:
     def test_rejects_non_subgroup(self):
         with pytest.raises(ValueError):
             sg.type3_group(sg.build_group("C4"), sg.build_group("D1"))
+
+    @pytest.mark.parametrize("name", ["type3:C4i/C4", "type3:C2i/C1i"])
+    def test_rejects_improper_g2_or_g1(self, name):
+        # C4i/C4 would hold 8 rotations with repeats; C2i/C1i would be C2i itself
+        with pytest.raises(ValueError, match="rotation groups"):
+            sg.build_group(name)
 
 
 class TestNaming:
@@ -254,3 +262,120 @@ class TestEquality:
         g = sg.build_group("I")
         assert hash(g) == g._hash == hash((g.name, False, g.stack.tobytes()))
         assert {g, sg.build_group("I"), sg.build_group("Ii")} == {g, sg.build_group("Ii")}
+
+
+# ---------------------------------------------------------------------------
+# the one closure against the two it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_close_float(generators, max_order=sg.MAX_ORDER):
+    elems = np.empty((max_order, 3, 3))
+    elems[0] = np.eye(3)
+    gens = [np.asarray(g, dtype=float) for g in generators]
+    i, n = 0, 1
+    while i < n:
+        for g in gens:
+            P = g @ elems[i]
+            if not sg._contains(elems[:n], P):
+                assert n < max_order
+                elems[n] = P
+                n += 1
+        i += 1
+    return elems[:n]
+
+
+def _reference_close_exact(generators, max_order=sg.MAX_ORDER):
+    F = Fraction
+    ident = tuple(tuple(F(1) if i == j else F(0) for j in range(3)) for i in range(3))
+
+    def mul(A, B):
+        return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3))
+                     for i in range(3))
+
+    seen = {ident}
+    order = [ident]
+    gens = [tuple(tuple(F(v) for v in row) for row in g) for g in generators]
+    for E in order:
+        for g in gens:
+            P = mul(g, E)
+            if P not in seen:
+                seen.add(P)
+                order.append(P)
+                assert len(order) <= max_order
+    return order
+
+
+def _negated(E):
+    return tuple(tuple(-x for x in row) for row in E)
+
+
+def _reference_group(name):
+    """(stack, generators, exact_elements) of a named group, closed by the
+    exact or the float reference closure as the field was once chosen, and
+    extended by concatenation."""
+    J = np.array(sg.J_MATRIX, dtype=float)
+    if name.startswith("type3:"):
+        (s2, _, x2), (s1, gens1, x1) = map(_reference_group, name[6:].split("/"))
+        off = ~(sg._nearest(s2, s1) < sg.MATCH_TOL)
+        coset = J @ s2[off]
+        exact = None
+        if x1 is not None and x2 is not None:
+            exact = x1 + tuple(_negated(E) for E in x2 if E not in set(x1))
+        return np.concatenate([s1, coset]), gens1 + [coset[0]], exact
+    if name.endswith("i"):
+        stack, gens, exact = _reference_group(name[:-1])
+        exact = None if exact is None else exact + tuple(map(_negated, exact))
+        return np.concatenate([stack, J @ stack]), gens + [J], exact
+    family, n = name[0], int(name[1:] or 0)
+    gens = sg._GENERATORS[family](n)
+    if family in "TO" or (family in "CD" and n in (1, 2, 4)):
+        exact = tuple(_reference_close_exact(gens))
+        stack = np.array(exact, dtype=float)
+    else:
+        exact, stack = None, _reference_close_float(gens)
+    return stack, [np.array(G, dtype=float) for G in gens], exact
+
+
+CLOSURE_NAMES = [f + str(n) for f in "CD" for n in range(1, 9)] + ["T", "O", "I"]
+CLOSURE_NAMES += [n + "i" for n in CLOSURE_NAMES] + [
+    "type3:" + s for s in ["C2/C1", "C4/C2", "C6/C3", "D4/C4", "D4/D2", "D6/D3", "O/T"]]
+
+
+class TestOneClosure:
+    @pytest.mark.parametrize("name", CLOSURE_NAMES)
+    def test_matches_the_exact_and_float_closures(self, name):
+        g = sg.build_group(name)
+        stack, gens, exact = _reference_group(name)
+        assert g.stack.tobytes() == stack.tobytes()
+        assert [G.tobytes() for G in g.generators] == [G.tobytes() for G in gens]
+        assert g.exact_elements == exact
+        assert all(type(x) is Fraction for E in g.exact_elements or () for r in E for x in r)
+
+    @pytest.mark.parametrize("gens", [
+        [((1, 0, 0), (0, -1, 0), (0, 0, -1))],
+        [np.diag([1, -1, -1])],
+        [tuple(tuple(map(Fraction, r)) for r in sg._rot_z(4))],
+        [sg._ROT2_X1, sg._CYCLE_XYZ],
+    ])
+    def test_int_or_fraction_generators_make_a_rational_group(self, gens):
+        g = sg.group_from_generators("g", gens)
+        assert g.is_rational and sg.verify_group(g).passed
+        assert all(type(x) is Fraction for E in g.exact_elements for r in E for x in r)
+        assert np.array_equal(g.stack, np.array(g.exact_elements, dtype=float))
+
+    @pytest.mark.parametrize("gens", [
+        [np.diag([1.0, -1.0, -1.0])],
+        [np.array(sg._ROT2_X1, dtype=float), sg._CYCLE_XYZ],      # one float is enough
+        [np.diag([True, True, True])],                           # bools are not rational
+    ])
+    def test_any_float_generator_makes_a_float_group(self, gens):
+        g = sg.group_from_generators("g", gens)
+        assert not g.is_rational and g.exact_elements is None
+        assert sg.verify_group(g).passed
+
+    def test_expected_orders_are_the_built_in_orders(self):
+        for f, n in [("C", 5), ("D", 3), ("T", 0), ("O", 0), ("I", 0)]:
+            name = f + (str(n) if n else "")
+            assert sg.build_group(name).order == sg.EXPECTED_ORDERS[f](n)
+        with pytest.raises(RuntimeError, match="expected 3"):
+            sg._group("C4 as C3", sg._GENERATORS["C"](4), 3)
