@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .polyalg import Polynomial, rational_nullspace
+from .polyalg import Polynomial, coefficient_matrix, rational_nullspace
 
 _F = Fraction
 
@@ -172,17 +172,12 @@ def harmonic_nullspace_basis(n):
     monos = monomials_of_degree(n, 3)
     if n < 2:
         return [Polynomial.monomial(e) for e in monos]
-    out_monos = monomials_of_degree(n - 2, 3)
-    out_index = {e: i for i, e in enumerate(out_monos)}
-    rows = []
-    for e in monos:
-        lap = Polynomial.monomial(e).laplacian()
-        rows.append([lap.coefficient(o) for o in out_monos])
-    # null space of L^T: vectors over input monomials annihilated by Laplacian
-    cols = [[rows[i][j] for i in range(len(monos))] for j in range(len(out_monos))]
-    null = rational_nullspace(cols)
+    # row e: the Laplacian of x^e over the degree n-2 monomials; the null
+    # space of its transpose holds the harmonic coefficient vectors
+    L, _ = coefficient_matrix([Polynomial.monomial(e).laplacian() for e in monos],
+                              monomials_of_degree(n - 2, 3))
     basis = []
-    for v in null:
+    for v in rational_nullspace(L.T.tolist()):
         poly = Polynomial({monos[i]: c for i, c in enumerate(v)}, 3)
         basis.append(poly.canonicalized()[0])
     assert len(basis) == 2 * n + 1
@@ -365,15 +360,6 @@ class BasisChange:
         return float(np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))))
 
 
-def _coeff_matrix(polys, monos, dtype=complex):
-    B = np.zeros((len(polys), len(monos)), dtype=dtype)
-    index = {e: i for i, e in enumerate(monos)}
-    for i, p in enumerate(polys):
-        for e, c in p.terms.items():
-            B[i, index[e]] = complex(c) if dtype is complex else float(c)
-    return B
-
-
 @cache
 def basis_change(n, real_style="orthonormal"):
     """Solve H_n^m = sum_l a[l, m] I_n^l on monomial coefficients.
@@ -381,7 +367,8 @@ def basis_change(n, real_style="orthonormal"):
     Memoised; ``a`` is read-only.
     """
     monos, A = monomial_expansion(n)
-    BI = _coeff_matrix(real_basis(n, real_style).polynomials, monos)  # (2n+1) x nm
+    N, den = coefficient_matrix(real_basis(n, real_style).polynomials, monos)
+    BI = (N / den).astype(float)                                     # (2n+1) x nm
     # BI.T @ a[:, m] = A[:, m] for each order m
     a, res, rank, _ = np.linalg.lstsq(BI.T, A, rcond=None)
     if rank < 2 * n + 1:
@@ -399,14 +386,9 @@ def monomial_expansion(n):
     Returns (monomial list, complex array of shape (n_monomials, 2n+1)).
     """
     monos = monomials_of_degree(n, 3)
-    index = {e: i for i, e in enumerate(monos)}
-    A = np.zeros((len(monos), 2 * n + 1), dtype=complex)
-    for k, h in enumerate(complex_solid_harmonics(n)):
-        for e, c in h.re.terms.items():
-            A[index[e], k] += complex(c)
-        for e, c in h.im.terms.items():
-            A[index[e], k] += 1j * complex(c)
-    return monos, A
+    hs = complex_solid_harmonics(n)
+    C, _ = coefficient_matrix([h.re for h in hs] + [h.im for h in hs], monos)
+    return monos, np.ascontiguousarray((C[:len(hs)] + 1j * C[len(hs):]).T)
 
 
 # ---------------------------------------------------------------------------

@@ -90,30 +90,24 @@ def _changes(p, q, style):
     return basis_change(p, style), basis_change(q, style)
 
 
-def hgpt_from_cgpt(M, A_p=None, A_q=None, style="orthonormal"):
-    """N_pq from a CGPT block: conjugate by the real<->complex basis change.
+def hgpt_from_cgpt(M, style="orthonormal"):
+    """N_pq from a CGPT block: conjugate by the real<->complex basis changes
+    of degrees p and q in ``style``.
 
     Returns (HgptMatrix, imaginary_residue).  The residue is the largest
     imaginary part discarded; it exceeds 1e-9 only for blocks that
     did not come from a real-contrast problem.
     """
-    if A_p is None:
-        A_p, A_q = _changes(M.p, M.q, style)
-    Ap, Aq = A_p.matrix, A_q.matrix
-    if Ap.shape[0] != M.entries.shape[0] or Aq.shape[0] != M.entries.shape[1]:
-        raise ValueError("basis-change dimensions do not match the block")
-    N = Ap.conj().T @ M.entries @ Aq
+    A_p, A_q = _changes(M.p, M.q, style)
+    N = A_p.matrix.conj().T @ M.entries @ A_q.matrix
     residue = float(np.max(np.abs(N.imag)))
-    return HgptMatrix(M.p, M.q, N.real, A_p.real_style), residue
+    return HgptMatrix(M.p, M.q, N.real, style), residue
 
 
-def cgpt_from_hgpt(N, A_p=None, A_q=None):
+def cgpt_from_hgpt(N):
     """Inverse of hgpt_from_cgpt (unitary changes in the orthonormal style)."""
-    if A_p is None:
-        A_p, A_q = _changes(N.p, N.q, N.basis_style)
-    Ap, Aq = A_p.matrix, A_q.matrix
-    M = Ap @ N.entries.astype(complex) @ Aq.conj().T
-    return CgptMatrix(N.p, N.q, M)
+    A_p, A_q = _changes(N.p, N.q, N.basis_style)
+    return CgptMatrix(N.p, N.q, A_p.matrix @ N.entries.astype(complex) @ A_q.matrix.conj().T)
 
 
 def hgpt_from_gpt(G, style="orthonormal"):

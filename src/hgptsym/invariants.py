@@ -8,9 +8,12 @@ dimension series with its harmonic counterpart h(t) = (1 - t^2) g(t),
 and the translation of fixed symmetric products into linear relations
 among HGPT coefficients.
 
-S_pq is built from its harmonic factors: its coefficient matrix is
-B_p (x) B_q and its action D_p (x) D_q, both folded onto the basis pairs
-by one convention (``_pairs``); no 6-variable polynomial is multiplied.
+A space is its coefficient matrix B over a monomial list, held once as
+(N, den) with B = N / den (``polyalg.coefficient_matrix`` reads it off
+polynomials); its basis polynomials are read off N on demand.  S_pq is
+built from its harmonic factors: its coefficient matrix is B_p (x) B_q and
+its action D_p (x) D_q, both folded onto the basis pairs by one convention
+(``_pairs``); no 6-variable polynomial is multiplied or built.
 
 There is one pipeline, written once over the field of the numbers it
 holds, and each step reads the field off its inputs.  An action matrix
@@ -49,7 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonics import monomials_of_degree, real_basis
-from .polyalg import Polynomial, is_rational, rational_rref, zero_tolerance
+from .polyalg import (Polynomial, coefficient_matrix, is_rational, rational_rref,
+                      zero_tolerance)
 
 _F = Fraction
 
@@ -65,45 +69,51 @@ SVD_RELTOL = 1e-10
 # representation spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RepresentationSpace:
-    """Ordered polynomial basis of a space the group acts on.
+    """Ordered polynomial basis of a space the group acts on, held as its
+    coefficient matrix B over ``monomials`` (rows = basis elements).
 
     ``kind`` is "harmonic" (index_map holds 1-tuples of the order i) or
     "symmetric_product" (index_map holds (i, j) order pairs, i <= j when
-    p == q).  ``monomials`` fixes the coefficient coordinates; ``B``
-    is the exact coefficient matrix (rows = basis elements).
+    p == q).  ``numerators`` is B as (N, den) with B = N / den, N read-only:
+    Python ints (object dtype) for an exact basis, float64 over 1 otherwise
+    (``polyalg.coefficient_matrix``).  Equality is identity.
     """
 
     kind: str
     p: int
     q: int | None
     style: str
-    basis: tuple
     index_map: tuple
     monomials: tuple
-    B: tuple  # rows of Fractions (or floats for inexact bases)
+    numerators: tuple
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.index_map)
+
+    @property
+    def is_exact(self):
+        return self.numerators[0].dtype == object
 
     @cached_property
-    def is_exact(self):
-        return all(isinstance(c, _F) for row in self.B for c in row)
+    def basis(self):
+        """The basis polynomials, read off ``numerators``: Fraction
+        coefficients if exact, floats otherwise."""
+        N, den = self.numerators
+        exact = self.is_exact
+        terms = [{} for _ in range(len(N))]
+        rk, ck = np.nonzero(N)
+        for r, c, v in zip(rk.tolist(), ck.tolist(), N[rk, ck].tolist()):
+            terms[r][self.monomials[c]] = _F(v, den) if exact else v
+        return tuple(Polynomial._make(t, len(self.monomials[0])) for t in terms)
 
     @cached_property
     def coefficients(self):
-        """``B`` as a read-only float array."""
+        """B as a read-only float array."""
         N, den = self.numerators
         return _read_only((N / den).astype(float))
-
-    @cached_property
-    def numerators(self):
-        """``B`` as (N, den) with B = N / den: read-only Python ints if exact,
-        the float entries over 1 otherwise."""
-        N, den = _integers(np.array(self.B))
-        return _read_only(N), den
 
     @cached_property
     def float_solver(self):
@@ -119,14 +129,14 @@ class RepresentationSpace:
     @cached_property
     def exact_solver(self):
         """A = B^T and the inverse L of its rows at the pivot monomials of B,
-        from one row reduction of [B | I], held as Python ints: a A and l L."""
+        from one row reduction of [N | a I] = a [B | I], held as Python ints:
+        a A and l L."""
+        N, a = self.numerators
         m = len(self.monomials)
-        rref, pivots = rational_rref(np.hstack([np.array(self.B, dtype=object),
-                                                np.identity(self.dim, dtype=object)]))
+        rref, pivots = rational_rref(np.hstack([N, a * np.identity(self.dim, dtype=object)]))
         rows = [c for c in pivots if c < m]
         if len(rows) < self.dim:
             raise RuntimeError("basis is rank-deficient")
-        N, a = self.numerators
         L, l = _integers(rref[:, m:].T)
         return _Solver(N.T, _read_only(L), _read_only(np.array(rows)), a * l, l)
 
@@ -153,26 +163,13 @@ def _read_only(a):
     return a
 
 
-def _coeff_rows(polys, monomials):
-    index = {e: i for i, e in enumerate(monomials)}
-    rows = []
-    for p in polys:
-        cast = _F if p.is_exact() else float
-        row = [cast(0)] * len(monomials)
-        for e, c in p.terms.items():
-            row[index[e]] = cast(c)
-        rows.append(row)
-    return rows
-
-
 @cache
 def harmonic_space(p, style="integer"):
-    basis = real_basis(p, style)
     monos = tuple(monomials_of_degree(p, 3))
-    rows = _coeff_rows(basis.polynomials, monos)
-    index_map = tuple((i,) for i in range(-p, p + 1))
-    return RepresentationSpace("harmonic", p, None, style, tuple(basis.polynomials),
-                               index_map, monos, tuple(tuple(r) for r in rows))
+    N, den = coefficient_matrix(real_basis(p, style).polynomials, monos)
+    return RepresentationSpace("harmonic", p, None, style,
+                               tuple((i,) for i in range(-p, p + 1)), monos,
+                               (_read_only(N), den))
 
 
 @cache
@@ -202,11 +199,11 @@ def symmetric_product_space(p, q, style="integer"):
 
     Dimension (2p+1)(2q+1) for p != q and (2p+1)(p+1) for p == q (the
     pair (i, j) with i <= j indexes the latter; the diagonal element is
-    I_p^i(x) I_p^i(y)).  Coefficients: B_p (x) B_q folded onto the pairs, in
-    integers over one denominator if exact; the basis is read off them.
+    I_p^i(x) I_p^i(y)).  Coefficients: B_p (x) B_q folded onto the pairs, held
+    as they fold, in integers over bp * bq if exact; the 6-variable basis is
+    read off them only when asked for.
     """
     hp, hq = harmonic_space(p, style), harmonic_space(q, style)
-    exact = hp.is_exact
     (Bp, bp), (Bq, bq) = hp.numerators, hq.numerators
     # I_p^i(x) I_q^j(y) at x^u y^v, folded onto the pairs k: R[k, u, v]
     R = _fold_rows(Bp[:, None, :, None] * Bq[None, :, None, :])
@@ -218,19 +215,12 @@ def symmetric_product_space(p, q, style="integer"):
         order = sorted(range(len(monos)), key=monos.__getitem__, reverse=True)
         C = np.hstack([C, R.transpose(0, 2, 1).reshape(n, -1)])[:, order]
         monos = [monos[k] for k in order]
-    # Fractions and basis terms for the nonzero entries only
-    rk, ck = np.nonzero(C)
-    values = [_F(c, bp * bq) if exact else c for c in C[rk, ck].tolist()]
-    rows = [[_F(0) if exact else 0.0] * len(monos) for _ in range(n)]
-    terms = [{} for _ in range(n)]
-    for r, c, v in zip(rk.tolist(), ck.tolist(), values):
-        rows[r][c] = v
-        terms[r][monos[c]] = v
+    if not hp.is_exact:
+        C += 0.0                      # a float product's -0.0 is a +0.0 coefficient
     I, J, _ = _pairs(len(Bp), len(Bq))
     return RepresentationSpace("symmetric_product", p, q, style,
-                               tuple(Polynomial._make(t, 6) for t in terms),
                                tuple(zip((I - p).tolist(), (J - q).tolist())),
-                               tuple(monos), tuple(map(tuple, rows)))
+                               tuple(monos), (_read_only(C), bp * bq))
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +268,17 @@ def _monomial_values(X, monomials):
 
 
 def _composed_values(space, S):
-    """F: the basis composed with each R of the stack S, in the coordinates
-    of the solver, shape (n, rows of A, d).  Fraction S: the coefficients of
-    ``basis[i] o R``.  Float S: the basis at the rotated sample points R X."""
+    """(F, f): the basis composed with each R of the stack S, in the
+    coordinates of the solver, as F / f of shape (n, rows of A, d).
+    Fraction S: the coefficients of ``basis[i] o R``, Python ints over the
+    lcm f of their denominators over the stack.  Float S: the basis at the
+    rotated sample points R X, over 1."""
     if S.dtype == object:
-        return np.array([_coeff_rows([b.compose_linear(R) for b in space.basis],
-                                     space.monomials) for R in S], dtype=object).transpose(0, 2, 1)
+        F, f = coefficient_matrix([b.compose_linear(R) for R in S for b in space.basis],
+                                  space.monomials)
+        return F.reshape(len(S), space.dim, -1).transpose(0, 2, 1), f
     X, _ = _sample_values(space.monomials)
-    return _monomial_values(X @ S.transpose(0, 2, 1), space.monomials) @ space.coefficients.T
+    return _monomial_values(X @ S.transpose(0, 2, 1), space.monomials) @ space.coefficients.T, 1
 
 
 def _integers(D):
@@ -315,7 +308,7 @@ def _harmonic_action(space, S):
     if len(S) > step:
         return np.concatenate([_harmonic_action(space, S[i:i + step])[0]
                                for i in range(0, len(S), step)]), den
-    F, f = _integers(_composed_values(space, S))
+    F, f = _composed_values(space, S)
     Dt = L @ F[:, rows]
     F = scale * F
     resid = abs(A @ Dt - F).max((1, 2)) / np.maximum(abs(F).max((1, 2)), 1e-300)
@@ -419,7 +412,6 @@ class InvariantSubspace:
     dimension: int
     basis: tuple                 # canonicalized polynomials
     coefficient_rows: tuple      # rows over space.basis indices (same scaling)
-    monomial_rows: tuple         # rows over space.monomials (same scaling)
 
 
 def check_trace_tol(trace_tol):
@@ -460,7 +452,7 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     M = np.asarray(averaging_projector(space, group))   # Fractions -> object dtype
     m = _integer(M.trace(), "projector trace", trace_tol)
     if m == 0:
-        return InvariantSubspace(space, group.name, 0, (), (), ())
+        return InvariantSubspace(space, group.name, 0, (), ())
     # rows of M_pi applied to the basis, in monomial coordinates; exact rows
     # are multiplied in Python ints over the denominators of the row and of B.
     # B follows the field of M, not of the space: a float M on an integer-style
@@ -469,25 +461,22 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     B, b = space.numerators if exact else (space.coefficients, 1)
     polys = []
     coeff_rows = []
-    mono_rows = []
     for crow in M[_select_independent_rows(M, m)]:
         N, den = _integers(crow)
         mono = np.array([_F(x, b * den) for x in N @ B], dtype=object) if exact else N @ B
         tol = zero_tolerance([mono])
         poly = Polynomial._make({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
-                                space.basis[0].nvars)
+                                len(space.monomials[0]))
         poly, scale = poly.canonicalized()
         polys.append(poly.snapped())
         coeff_rows.append(tuple((crow * scale).tolist()))
-        mono_rows.append(tuple((mono * scale).tolist()))
-    return InvariantSubspace(space, group.name, m, tuple(polys),
-                             tuple(coeff_rows), tuple(mono_rows))
+    return InvariantSubspace(space, group.name, m, tuple(polys), tuple(coeff_rows))
 
 
 def verify_fixed(inv, group, nsamples=20, tol=PROJECTOR_TOL, seed=0):
     """Pointwise check S(Rx, Ry) = S(x, y) at random rational points."""
     rng = random.Random(seed)
-    nv = inv.space.basis[0].nvars if inv.basis else 6
+    nv = len(inv.space.monomials[0])
     worst = 0.0
     for S in inv.basis:
         pts = [tuple(_F(rng.randint(-10, 10), rng.randint(1, 7)) for _ in range(nv))

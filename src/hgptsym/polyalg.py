@@ -388,6 +388,21 @@ def kelvin_harmonicize(q, m):
 RTOL = 1e-9
 
 
+def coefficient_matrix(polys, monomials):
+    """The coefficients of ``polys`` over ``monomials`` as (N, den), one row
+    per polynomial with rows = N / den: Python ints (object dtype) over the
+    lcm of the denominators when every coefficient is a ``Fraction``, a
+    float array over 1 otherwise."""
+    index = {e: k for k, e in enumerate(monomials)}
+    cells = [(r, index[e], c) for r, p in enumerate(polys) for e, c in p.terms.items()]
+    exact = all(_is_exact(c) for _, _, c in cells)
+    den = math.lcm(*(c.denominator for _, _, c in cells)) if exact else 1
+    N = np.zeros((len(polys), len(monomials)), dtype=object if exact else float)
+    for r, k, c in cells:
+        N[r, k] = c.numerator * (den // c.denominator) if exact else c
+    return N, den
+
+
 def zero_tolerance(rows):
     """Largest magnitude that counts as zero among these entries.
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hgptsym import harmonics as H
-from hgptsym.polyalg import Polynomial
+from hgptsym.polyalg import Polynomial, coefficient_matrix
 
 
 class TestSphereIntegration:
@@ -142,7 +142,8 @@ def _basis_change_from_terms(n, style):
     solid harmonics' real and imaginary terms."""
     monos = H.monomials_of_degree(n, 3)
     index = {e: i for i, e in enumerate(monos)}
-    BI = H._coeff_matrix(H.real_basis(n, style).polynomials, monos)
+    N, den = coefficient_matrix(H.real_basis(n, style).polynomials, monos)
+    BI = np.array(N / den, dtype=complex)
     target = np.zeros((2 * n + 1, len(monos)), dtype=complex)
     for k, h in enumerate(H.complex_solid_harmonics(n)):
         for e, c in h.re.terms.items():

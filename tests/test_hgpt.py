@@ -50,11 +50,6 @@ class TestCgptConversion:
         N = hgpt.HgptMatrix(1, 2, np.zeros((3, 5)))
         assert np.max(np.abs(hgpt.cgpt_from_hgpt(N).entries)) == 0
 
-    def test_dimension_mismatch(self):
-        M = hgpt.CgptMatrix(1, 1, np.eye(3, dtype=complex))
-        with pytest.raises(ValueError):
-            hgpt.hgpt_from_cgpt(M, basis_change(2), basis_change(2))
-
 
 class TestGptConversion:
     def _brute_force(self, G, p, q, style="orthonormal"):

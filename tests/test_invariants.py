@@ -9,7 +9,7 @@ from conftest import span_equal
 from hgptsym import invariants as inv
 from hgptsym import symgroups as sg
 from hgptsym.harmonics import monomials_of_degree, real_basis
-from hgptsym.polyalg import Polynomial
+from hgptsym.polyalg import Polynomial, coefficient_matrix
 
 F = Fraction
 
@@ -51,9 +51,10 @@ class TestRepresentationSpaces:
             basis, index_map, monos, rows = _product_space_from_polynomials(p, q, style)
             assert space.monomials == monos
             assert space.index_map == index_map
-            assert [list(map(type, r)) for r in space.B] == [list(map(type, r)) for r in rows]
-            assert space.B == rows
-            assert np.array_equal(_bits(space.B), _bits(rows))      # +0.0 for zeros
+            got = _rows(space)
+            assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in rows]
+            assert got == rows
+            assert np.array_equal(_bits(got), _bits(rows))      # +0.0 for zeros
             assert space.coefficients.tobytes() == np.array(rows, dtype=float).tobytes()
             assert space.basis == basis
             assert [b.to_text() for b in space.basis] == [b.to_text() for b in basis]
@@ -65,7 +66,7 @@ class TestRepresentationSpaces:
         assert len(spaces) == 62
         for space in spaces:
             assert space.is_exact
-            want = np.array([[float(c) for c in row] for row in space.B])
+            want = np.array([[float(c) for c in row] for row in _rows(space)])
             assert space.coefficients.tobytes() == want.tobytes(), (space.p, space.q)
 
     def test_float_numerators_are_the_coefficients_over_one(self):
@@ -73,6 +74,12 @@ class TestRepresentationSpaces:
         N, den = space.numerators
         assert den == 1 and N.dtype == float
         assert N.tobytes() == space.coefficients.tobytes()
+
+    def test_product_space_reads_its_basis_only_when_asked(self):
+        space = inv.symmetric_product_space.__wrapped__(2, 2)
+        assert inv.invariant_subspace(space, sg.build_group("C4")).dimension == 5
+        assert "basis" not in vars(space)
+        assert space.basis == inv.symmetric_product_space(2, 2).basis
 
     @pytest.mark.parametrize("style", ["integer", "orthonormal"])
     def test_space_multiplies_no_polynomial(self, style, monkeypatch):
@@ -148,9 +155,8 @@ class TestActionMatrices:
         from hgptsym.polyalg import Polynomial
         monos = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         basis = (Polynomial.variable(0), Polynomial.variable(1))
-        B = ((F(1), F(0), F(0)), (F(0), F(1), F(0)))
-        space = inv.RepresentationSpace("harmonic", 1, None, "integer", basis,
-                                        ((-1,), (0,)), monos, B)
+        space = inv.RepresentationSpace("harmonic", 1, None, "integer",
+                                        ((-1,), (0,)), monos, coefficient_matrix(basis, monos))
         c, s = np.cos(0.3), np.sin(0.3)
         about_x3 = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         about_x1 = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -190,6 +196,40 @@ class TestActionMatrices:
                            for row in inv.action_matrix(space, X)])
             Pf = np.asarray(inv.action_matrix(space, E))
             assert np.max(np.abs(Pe - Pf)) < 1e-12
+
+
+# a rational rotation whose entries are not integers: composed coefficients
+# carry the denominator 5 to the power of the degree
+PYTHAGOREAN = ((F(3, 5), F(-4, 5), 0), (F(4, 5), F(3, 5), 0), (0, 0, 1))
+
+
+def _agrees_with_float_r(space):
+    """The exact action of PYTHAGOREAN, after checking it is all Fractions and
+    agrees with the action of the same R in floats."""
+    D = inv.action_matrix(space, PYTHAGOREAN)
+    assert all(isinstance(x, F) for row in D for x in row)
+    want = inv.action_matrix(space, np.array(PYTHAGOREAN, dtype=float))
+    assert np.max(np.abs(np.array(D, dtype=float) - want)) <= 1e-12
+    return D
+
+
+class TestRationalNonIntegerRotation:
+    @pytest.mark.parametrize("build,args", [(inv.harmonic_space, (3,)),
+                                            (inv.harmonic_space, (5,)),
+                                            (inv.symmetric_product_space, (2, 3))])
+    def test_exact_action_matches_float(self, build, args):
+        _agrees_with_float_r(build(*args))
+
+    def test_basis_with_a_denominator(self):
+        monos = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        x1, x2, x3 = (Polynomial.variable(i) for i in range(3))
+        basis = (x1 / 2, x2, x3 / 3)
+        space = inv.RepresentationSpace("harmonic", 1, None, "integer", ((-1,), (0,), (1,)),
+                                        monos, coefficient_matrix(basis, monos))
+        assert space.numerators[1] == 6 and space.basis == basis
+        D = _agrees_with_float_r(space)
+        for b, row in zip(basis, D):
+            assert b.compose_linear(PYTHAGOREAN) == sum(c * e for c, e in zip(row, basis))
 
 
 class TestProjector:
@@ -554,15 +594,15 @@ class TestStackedProjector:
         builtin = inv.harmonic_space(1)
         D = inv.action_stack(builtin, g)
         order = [2, 0, 1]
+        N, den = builtin.numerators
         space = inv.RepresentationSpace(
-            "harmonic", 1, None, "integer", tuple(builtin.basis[i] for i in order),
-            tuple(builtin.index_map[i] for i in order), builtin.monomials,
-            tuple(builtin.B[i] for i in order))
+            "harmonic", 1, None, "integer",
+            tuple(builtin.index_map[i] for i in order), builtin.monomials, (N[order], den))
         mine = inv.action_stack(space, g)
         assert mine is not D
         assert np.max(np.abs(mine - D[:, order][:, :, order])) <= 1e-13
         twin = inv.RepresentationSpace(*(getattr(builtin, f) for f in (
-            "kind", "p", "q", "style", "basis", "index_map", "monomials", "B")))
+            "kind", "p", "q", "style", "index_map", "monomials", "numerators")))
         assert inv.action_stack(twin, g) is not D
         assert inv.action_stack(twin, g).tolist() == D.tolist()
 
@@ -604,9 +644,10 @@ class TestChecksOnStackedPath:
     def test_rank_deficient_space_fails_before_any_element(self, exact, monkeypatch):
         from hgptsym.polyalg import Polynomial
         x1 = Polynomial.variable(0)
+        monos = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         space = inv.RepresentationSpace(
-            "harmonic", 1, None, "integer", (x1, x1), ((-1,), (0,)),
-            ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((F(1), F(0), F(0)),) * 2)
+            "harmonic", 1, None, "integer", ((-1,), (0,)),
+            monos, coefficient_matrix((x1, x1), monos))
         seen = []
         monkeypatch.setattr(inv, "_composed_values", lambda *a: seen.append(a))
         with pytest.raises(RuntimeError, match="rank-deficient"):
@@ -625,6 +666,12 @@ def _reference_action(space, R):
 
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _rows(space):
+    """The coefficient rows of ``space``: Fractions if exact, floats otherwise."""
+    N, den = space.numerators
+    return tuple(tuple(F(x, den) if space.is_exact else x for x in row) for row in N.tolist())
 
 
 BATCHED_GROUPS = ["C3", "C5", "C6", "C7", "D3", "D5", "D6", "I", "Ii", "O", "Oi", "T", "C4",

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import proportional, u1, u2, u3
-from hgptsym.polyalg import (Polynomial, kelvin_harmonicize, rational_nullspace,
-                             rational_rref, zero_tolerance)
+from hgptsym.polyalg import (Polynomial, coefficient_matrix, kelvin_harmonicize,
+                             rational_nullspace, rational_rref, zero_tolerance)
 
 
 class TestArithmetic:
@@ -151,6 +151,22 @@ class TestRationalLinearAlgebra:
         assert len(ns) == 2
         for v in ns:
             assert v[0] + v[1] == 0 or v[2] != 0
+
+
+class TestCoefficientMatrix:
+    MONOS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+    def test_fractions_are_integers_over_one_denominator(self):
+        N, den = coefficient_matrix([u1 / 2 - u2, u2 * Fraction(2, 3), Polynomial.zero(3)],
+                                    self.MONOS)
+        assert den == 6 and N.dtype == object
+        assert N.tolist() == [[3, -6, 0], [0, 4, 0], [0, 0, 0]]
+        assert all(type(x) is int for x in N.flat)
+
+    def test_any_float_makes_a_float_array_over_one(self):
+        N, den = coefficient_matrix([u1 * 0.5, u3], self.MONOS)
+        assert den == 1 and N.dtype == float
+        assert N.tolist() == [[0.5, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 class TestRrefOverFields:
