@@ -177,7 +177,7 @@ def harmonic_nullspace_basis(n):
     L, _ = coefficient_matrix([Polynomial.monomial(e).laplacian() for e in monos],
                               monomials_of_degree(n - 2, 3))
     basis = []
-    for v in rational_nullspace(L.T.tolist()):
+    for v in rational_nullspace(L.T):
         poly = Polynomial({monos[i]: c for i, c in enumerate(v)}, 3)
         basis.append(poly.canonicalized()[0])
     assert len(basis) == 2 * n + 1

@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonics import monomials_of_degree, real_basis
-from .polyalg import (Polynomial, coefficient_matrix, is_rational, rational_rref,
-                      zero_tolerance)
+from .polyalg import (Polynomial, coefficient_matrix, integer_matrix, is_rational,
+                      rational_rref, zero_tolerance)
 
 _F = Fraction
 
@@ -137,7 +137,7 @@ class RepresentationSpace:
         rows = [c for c in pivots if c < m]
         if len(rows) < self.dim:
             raise RuntimeError("basis is rank-deficient")
-        L, l = _integers(rref[:, m:].T)
+        L, l = integer_matrix(rref[:, m:].T)
         return _Solver(N.T, _read_only(L), _read_only(np.array(rows)), a * l, l)
 
     @cached_property
@@ -279,16 +279,6 @@ def _composed_values(space, S):
         return F.reshape(len(S), space.dim, -1).transpose(0, 2, 1), f
     X, _ = _sample_values(space.monomials)
     return _monomial_values(X @ S.transpose(0, 2, 1), space.monomials) @ space.coefficients.T, 1
-
-
-def _integers(D):
-    """A Fraction array D as (N, den), Python ints with D = N / den; a float
-    array as (D, 1)."""
-    if D.dtype != object:
-        return D, 1
-    den = math.lcm(*(x.denominator for x in D.flat))
-    N = np.array([x.numerator * (den // x.denominator) for x in D.flat], dtype=object)
-    return N.reshape(D.shape), den
 
 
 def _harmonic_action(space, S):
@@ -462,7 +452,7 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     polys = []
     coeff_rows = []
     for crow in M[_select_independent_rows(M, m)]:
-        N, den = _integers(crow)
+        N, den = integer_matrix(crow)
         mono = np.array([_F(x, b * den) for x in N @ B], dtype=object) if exact else N @ B
         tol = zero_tolerance([mono])
         poly = Polynomial._make({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
@@ -544,39 +534,51 @@ class MolienSeries:
     h: tuple  # invariant harmonic counts, h_m = g_m - g_{m-2}
 
 
-def _char_poly_series(R, M_max):
-    """Power series of 1/det(I - t R) to order M_max, in the field of R."""
-    c1 = R[0][0] + R[1][1] + R[2][2]
-    c2 = (R[0][0] * R[1][1] - R[0][1] * R[1][0]
+def _char_poly_series(S, M_max):
+    """Power series of 1/det(I - t R) to order M_max for every R of the
+    (n, 3, 3) stack S, as (M_max + 1, n) coefficients t_k over den^k: float64
+    over 1 for a float stack; for an object stack of Fractions, Python ints
+    with (N, den) = ``integer_matrix(S)``, from the recurrence
+    t_k = a1 t_{k-1} - a2 t_{k-2} + a3 t_{k-3} whose a1, a2, a3 are the
+    trace, the principal 2x2 minors and the determinant of N."""
+    R, den = integer_matrix(S)
+    R = R.transpose(1, 2, 0)        # R[i][j] is entry (i, j) over the stack
+    a1 = R[0][0] + R[1][1] + R[2][2]
+    a2 = (R[0][0] * R[1][1] - R[0][1] * R[1][0]
           + R[0][0] * R[2][2] - R[0][2] * R[2][0]
           + R[1][1] * R[2][2] - R[1][2] * R[2][1])
-    c3 = (R[0][0] * (R[1][1] * R[2][2] - R[1][2] * R[2][1])
+    a3 = (R[0][0] * (R[1][1] * R[2][2] - R[1][2] * R[2][1])
           - R[0][1] * (R[1][0] * R[2][2] - R[1][2] * R[2][0])
           + R[0][2] * (R[1][0] * R[2][1] - R[1][1] * R[2][0]))
-    s = [_F(1)]
+    t = [np.ones_like(a1)]
     for k in range(1, M_max + 1):
-        v = c1 * s[k - 1]
+        v = a1 * t[k - 1]
         if k >= 2:
-            v -= c2 * s[k - 2]
+            v = v - a2 * t[k - 2]
         if k >= 3:
-            v += c3 * s[k - 3]
-        s.append(v)
-    return s
+            v = v + a3 * t[k - 3]
+        t.append(v)
+    return t, den
 
 
 def molien_series(group, M_max, trace_tol=TRACE_TOL):
     """Truncated Molien series g and harmonic series h = (1 - t^2) g.
 
-    Float coefficients must lie within ``trace_tol`` of an integer.
+    g_k = sum_R t_k(R) / (|G| den^k), summed over the whole element stack at
+    once (``_char_poly_series``): exactly, in Python ints, for a rational
+    group, in float64 otherwise, where each coefficient must lie within
+    ``trace_tol`` of an integer.
     """
     check_trace_tol(trace_tol)
     if M_max < 0:
         raise ValueError("max degree must be non-negative, got %d" % M_max)
-    elements = group.exact_elements if group.is_rational else group.elements
-    series = [_char_poly_series(E, M_max) for E in elements]
+    S = np.array(group.exact_elements, dtype=object) if group.is_rational else group.stack
+    t, den = _char_poly_series(S, M_max)
     g = []
-    for total in map(sum, zip(*series)):
-        v = _integer(total / group.order, "Molien coefficient", trace_tol)
+    for k, tk in enumerate(t):
+        total = sum(tk.tolist())
+        v = _integer(_F(total, group.order * den ** k) if group.is_rational
+                     else total / group.order, "Molien coefficient", trace_tol)
         if v < 0:
             raise RuntimeError("negative Molien coefficient %d" % v)
         g.append(v)

@@ -31,6 +31,33 @@ def _is_exact(c):
     return isinstance(c, Fraction)
 
 
+def _limit_denominator(x, max_den):
+    """``Fraction(x).limit_denominator(max_den)`` of a float x as the pair
+    (numerator, denominator), in Python ints: the same continued-fraction
+    walk over ``x.as_integer_ratio()``, the two bounds compared by
+    cross-multiplication, a tie going to the convergent."""
+    if max_den < 1:
+        raise ValueError("max_den should be at least 1")
+    n0, d0 = x.as_integer_ratio()
+    if d0 <= max_den:
+        return n0, d0
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = n0, d0
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p2/q2 - x|, both sides times q1 q2 d0
+    if abs(p1 * d0 - n0 * q1) * q2 <= abs(p2 * d0 - n0 * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
 class Polynomial:
     """Sparse polynomial keyed by exponent tuples."""
 
@@ -220,16 +247,17 @@ class Polynomial:
         """
         if self.nvars != 3:
             raise ValueError("compose_linear requires a 3-variable polynomial")
-        forms = [Polynomial({tuple(int(j == k) for k in range(3)): R[i][j]
-                             for j in range(3)}, 3) for i in range(3)]
-        powers = [[Polynomial.one(3)] for _ in range(3)]
+        unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        forms = [Polynomial._make({unit[j]: _coerce(R[i][j]) for j in range(3)}, 3)
+                 for i in range(3)]
+        powers = [[Polynomial._make({(0, 0, 0): Fraction(1)}, 3)] for _ in range(3)]
 
         def power(v, k):
             while len(powers[v]) <= k:
                 powers[v].append(powers[v][-1] * forms[v])
             return powers[v][k]
 
-        out = Polynomial.zero(3)
+        out = Polynomial._make({}, 3)
         for e, c in self.terms.items():
             term = Polynomial._make({(0, 0, 0): c}, 3)
             for v, k in enumerate(e):
@@ -279,8 +307,9 @@ class Polynomial:
         for e, c in self.terms.items():
             if isinstance(c, complex):
                 return self
-            f = Fraction(float(c)).limit_denominator(max_den)
-            terms[e] = f if abs(float(f) - float(c)) <= tol else c
+            x = float(c)
+            p, q = _limit_denominator(x, max_den)
+            terms[e] = Fraction(p, q) if abs(p / q - x) <= tol else c
         return Polynomial._make(terms, self.nvars)
 
     # ---- text / JSON form ---------------------------------------------------
@@ -403,6 +432,17 @@ def coefficient_matrix(polys, monomials):
     return N, den
 
 
+def integer_matrix(D):
+    """An array D of Fractions or ints (object dtype) as (N, den), Python
+    ints with D = N / den over the lcm of the denominators; a float array as
+    (D, 1)."""
+    if D.dtype != object:
+        return D, 1
+    den = math.lcm(*(x.denominator for x in D.flat))
+    N = np.array([x.numerator * (den // x.denominator) for x in D.flat], dtype=object)
+    return N.reshape(D.shape), den
+
+
 def zero_tolerance(rows):
     """Largest magnitude that counts as zero among these entries.
 
@@ -450,8 +490,9 @@ def rational_rref(rows):
 
 
 def rational_nullspace(rows):
-    """Basis (list of rows) for the null space of the matrix."""
-    if not rows:
+    """Basis (list of rows) for the null space of the matrix (nested lists
+    or a numpy array)."""
+    if len(rows) == 0:
         return []
     nc = len(rows[0])
     rref, pivots = rational_rref(rows)

@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .polyalg import is_rational
+from .polyalg import integer_matrix, is_rational
 
 MATCH_TOL = 1e-9
 MAX_ORDER = 240
@@ -152,28 +152,47 @@ def _contains(elements, M, tol=MATCH_TOL):
 
 
 def _group(name, generators, expected_order=None):
-    """Closure of the generators, breadth first, in their own field: in
-    Fractions, kept as ``exact_elements``, if every entry is an int or a
-    Fraction (``polyalg.is_rational``), else in floats.  A product is matched
-    against the elements found so far in floats."""
+    """Closure of the generators in breadth-first rounds, in their own field.
+
+    A round multiplies every generator by the whole frontier (the elements
+    the last round found) in one stacked float product, and matches the
+    products in floats against the elements found so far and against each
+    other.  The first of equal products is kept, so the elements come in the
+    order a one-at-a-time search appends them.  If every generator entry is
+    an int or a Fraction (``polyalg.is_rational``), only the new elements
+    are also formed exactly, as Python-int matrices over one gcd-reduced
+    denominator: their floats are the exact values rounded, and the
+    ``exact_elements`` Fractions are built once, at the end.  Otherwise the
+    float products are the elements.
+    """
     gens = [np.array(G, dtype=object).reshape(3, 3) for G in generators]
     exact = all(is_rational(x) for G in gens for x in G.flat)
-    cast = np.frompyfunc(_F, 1, 1) if exact else (lambda A: A.astype(float))
-    gens = [cast(G) for G in gens]
-    elems = [cast(np.identity(3, dtype=object))]
+    floats = np.array([G.astype(float) for G in gens]).reshape(-1, 3, 3)
+    if exact:                   # (N, den) of each generator and each element
+        ints = [integer_matrix(G) for G in gens]
+        elems = [integer_matrix(np.identity(3, dtype=object))]
     found = np.empty((MAX_ORDER, 3, 3))
-    found[0] = elems[0]
-    for E in elems:             # the loop visits appended elements too
-        for G in gens:
-            P = G @ E
-            if not _contains(found[:len(elems)], P):
-                if len(elems) == MAX_ORDER:
-                    raise ValueError(
-                        "closure exceeded %d elements; bad group spec" % MAX_ORDER)
-                found[len(elems)] = P
-                elems.append(P)
-    g = PointGroup(name, found[:len(elems)], gens,
-                   tuple(tuple(map(tuple, E.tolist())) for E in elems) if exact else None)
+    found[0] = np.identity(3)
+    start, n = 0, 1
+    while start < n:            # the frontier is found[start:n]
+        P = (floats[None] @ found[start:n, None]).reshape(-1, 3, 3)   # [e, g] row-major
+        near = _distances(P, np.concatenate([found[:n], P])) < MATCH_TOL
+        new = np.flatnonzero(~(near[:, :n].any(axis=1)
+                               | np.tril(near[:, n:], -1).any(axis=1)))
+        if n + len(new) > MAX_ORDER:
+            raise ValueError("closure exceeded %d elements; bad group spec" % MAX_ORDER)
+        if exact:
+            for k in new.tolist():
+                (G, a), (E, b) = ints[k % len(gens)], elems[start + k // len(gens)]
+                N, den = G @ E, a * b
+                c = math.gcd(den, *N.flat)
+                elems.append((N // c, den // c))
+                P[k] = N / den
+        found[n:n + len(new)] = P[new]
+        start, n = n, n + len(new)
+    g = PointGroup(name, found[:n], floats,
+                   tuple(tuple(tuple(_F(x, den) for x in row) for row in N.tolist())
+                         for N, den in elems) if exact else None)
     if expected_order is not None and g.order != expected_order:
         raise RuntimeError("group %s has order %d, expected %d"
                            % (name, g.order, expected_order))

@@ -1,13 +1,16 @@
 """Exact sparse polynomial arithmetic and rational linear algebra."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import proportional, u1, u2, u3
-from hgptsym.polyalg import (Polynomial, coefficient_matrix, kelvin_harmonicize,
-                             rational_nullspace, rational_rref, zero_tolerance)
+from hgptsym.polyalg import (Polynomial, _limit_denominator, coefficient_matrix,
+                             kelvin_harmonicize, rational_nullspace, rational_rref,
+                             zero_tolerance)
 
 
 class TestArithmetic:
@@ -120,6 +123,40 @@ class TestCanonicalization:
         assert all(type(s.terms[e]) is Fraction for e in [(0, 1, 0), (1, 1, 0)])
 
 
+class TestLimitDenominator:
+    MAX_DENS = (1, 2, 7, 1000, 10 ** 6)
+
+    @staticmethod
+    def sample(n, seed=20221):
+        """n floats: uniform, small rationals nudged by 0 or +-1e-12, and
+        signed square roots."""
+        rng = random.Random(seed)
+        out = []
+        while len(out) < n:
+            out.append(rng.uniform(-50.0, 50.0))
+            out.append(rng.randint(-3000, 3000) / rng.randint(1, 3000)
+                       + rng.choice((0.0, 1e-12, -1e-12)))
+            out.append(rng.choice((1, -1)) * math.sqrt(rng.randint(1, 10 ** 5)))
+        return out[:n]
+
+    def test_matches_the_stdlib(self):
+        xs = self.sample(10 ** 5) + [0.0, -0.0, 1e-300, -1e300, 5e-324]
+        for k, x in enumerate(xs):
+            max_den = self.MAX_DENS[k % len(self.MAX_DENS)]
+            f = Fraction(x).limit_denominator(max_den)
+            assert _limit_denominator(x, max_den) == (f.numerator, f.denominator), (x, max_den)
+
+    @pytest.mark.parametrize("x,want", [(0.5, (0, 1)), (1.5, (1, 1)), (-0.5, (-1, 1)),
+                                        (2.5, (2, 1)), (-2.5, (-3, 1))])
+    def test_a_tie_goes_to_the_convergent(self, x, want):
+        f = Fraction(x).limit_denominator(1)
+        assert _limit_denominator(x, 1) == want == (f.numerator, f.denominator)
+
+    def test_max_den_below_one_is_rejected(self):
+        with pytest.raises(ValueError):
+            _limit_denominator(0.3, 0)
+
+
 class TestKelvin:
     def test_degree_two(self):
         got = kelvin_harmonicize(u3 ** 2, 2)
@@ -151,6 +188,11 @@ class TestRationalLinearAlgebra:
         assert len(ns) == 2
         for v in ns:
             assert v[0] + v[1] == 0 or v[2] != 0
+
+    def test_nullspace_of_an_array(self):
+        rows = np.array([[1, 2], [2, 4]], dtype=object)
+        assert rational_nullspace(rows) == rational_nullspace(rows.tolist()) == [[-2, 1]]
+        assert rational_nullspace(np.zeros((0, 3), dtype=object)) == []
 
 
 class TestCoefficientMatrix:

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from hgptsym import symgroups as sg
+from hgptsym.invariants import molien_series
+from hgptsym.polyalg import integer_matrix
+
+F = Fraction
 
 
 EXPECTED = {
@@ -372,6 +376,23 @@ class TestOneClosure:
         g = sg.group_from_generators("g", gens)
         assert not g.is_rational and g.exact_elements is None
         assert sg.verify_group(g).passed
+
+    def test_a_conjugated_group_closes_over_a_denominator(self):
+        # O conjugated by a Pythagorean rotation: rational, with entries over 25
+        Q = np.array([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]], dtype=object)
+        gens = [Q @ np.array(G, dtype=object) @ Q.T for G in sg._GENERATORS["O"](0)]
+        g = sg.group_from_generators("QOQ^T", gens)
+        assert g.is_rational and g.order == 24 and sg.verify_group(g).passed
+        assert integer_matrix(np.array(g.exact_elements, dtype=object))[1] > 1
+        assert all(type(x) is Fraction for E in g.exact_elements for r in E for x in r)
+        assert np.array_equal(g.stack, np.array(g.exact_elements, dtype=float))
+        got, want = molien_series(g, 12), molien_series(sg.build_group("O"), 12)
+        assert (got.g, got.h) == (want.g, want.h)
+
+    def test_an_infinite_group_stops_at_max_order(self):
+        R = sg._axis_rotation((0.0, 0.0, 1.0), 1.0)      # irrational angle / pi
+        with pytest.raises(ValueError, match="closure exceeded %d" % sg.MAX_ORDER):
+            sg.group_from_generators("C_inf", [R])
 
     def test_expected_orders_are_the_built_in_orders(self):
         for f, n in [("C", 5), ("D", 3), ("T", 0), ("O", 0), ("I", 0)]:
