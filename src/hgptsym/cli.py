@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,6 +47,37 @@ def _env_trace_tol():
                          % v) from None
 
 
+def _float_json(x):
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_json,
+                 bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json(obj, indent="\n"):
+    """``json.dumps(obj, sort_keys=True, indent=2)``, written directly: with
+    ``indent`` set the stdlib encodes in pure Python, several times slower."""
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{%s%s}" % (",".join([inner + encode_basestring_ascii(k) + ": " + _json(v, inner)
+                                     for k, v in items]), indent) if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        return "[%s%s]" % (",".join([inner + _json(v, inner) for v in obj]), indent) if obj else "[]"
+    for t in (int, float, str):           # subclasses, encoded as json does
+        if isinstance(obj, t):
+            return _JSON_SCALARS[t](obj)
+    raise TypeError("Object of type %s is not JSON serializable" % type(obj).__name__)
+
+
 def _document(args, result):
     inputs = {k: v for k, v in vars(args).items()
               if k not in ("func", "format", "trace_tol") and v is not None}
@@ -57,7 +90,7 @@ def _emit(args, result, table_lines):
     if fmt is None:
         fmt = "table" if sys.stdout.isatty() else "json"
     if fmt == "json":
-        print(json.dumps(_document(args, result), sort_keys=True, indent=2))
+        print(_json(_document(args, result)))
     else:
         for line in table_lines:
             print(line)
@@ -239,7 +272,7 @@ def cmd_regenerate_tables(args):
                    "dimension": inv.dimension, "basis": _poly_texts(inv.basis)}
             fname = os.path.join(args.out, "%s_S%d%d.json" % (name, p, q))
             with open(fname, "w") as f:
-                json.dump(doc, f, sort_keys=True, indent=2)
+                f.write(_json(doc))
             index.append({"group": name, "p": p, "q": q,
                           "dimension": inv.dimension, "file": os.path.basename(fname)})
     if failures:

@@ -26,23 +26,24 @@ exact zero tests on Fractions, one relative tolerance on floats
 (``polyalg.zero_tolerance``).
 
 Group actions are stacked.  Each space holds a left inverse L of a fixed
-matrix A (its basis at sample points for floats, its coefficient matrix
-for Fractions), so D(R) = (L F(R))^T for the composed values F(R), with
-the residual A D(R)^T - F(R) checked for every element.  One function
-builds D(R) for a stack of elements, in floats from one table of
-coordinate powers at all rotated sample points; ``action_matrix`` is the
-same function on a stack of one.  A float projector reads the stack
-D(G), of shape (|G|, d, d), built once per (space, group) and kept
-read-only on the space; on S_pq it is one contraction of the flattened
-stacks D_p(G) and D_q(G) over the element axis, the mean Kronecker
-product, folded onto the symmetric pairs once.  An exact projector sums
-the exact ``action_matrix`` of each element; exact arithmetic runs on
-Python ints over one denominator.
+matrix A, its transposed coefficient matrix B^T, so D(R) = (L F(R))^T for
+the coefficients F(R) of the composed basis, with the residual
+A D(R)^T - F(R) checked for every element.  One function builds D(R) for a
+stack of elements; in floats F(R) = (B Sym^p(R))^T, from the substitution
+matrices Sym^p(R) of x -> R x on the degree-p monomials, built for the whole
+stack by one recursion over the degree (``substitution_matrices``), with no
+sample points.  ``action_matrix`` is the same function on a stack of one.
+A float projector reads the stack D(G), of shape (|G|, d, d), built once
+per (space, group) and kept read-only on the space; on S_pq it is one
+contraction of the flattened stacks D_p(G) and D_q(G) over the element
+axis, the mean Kronecker product, folded onto the symmetric pairs once.  An
+exact projector sums the exact ``action_matrix`` of each element, composed
+with ``Polynomial.compose_linear``; exact arithmetic runs on Python ints
+over one denominator.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +62,7 @@ TRACE_TOL = 1e-6
 PROJECTOR_TOL = 1e-9
 SOLVE_TOL = 1e-10
 STACK_MEMO = 16          # groups whose action stacks a space keeps
-SAMPLE_BLOCK = 1 << 12   # monomial values a float action batch evaluates at once
+ACTION_BLOCK = 1 << 14   # Sym^p entries a float action batch builds at once
 SVD_RELTOL = 1e-10
 
 
@@ -117,10 +118,14 @@ class RepresentationSpace:
 
     @cached_property
     def float_solver(self):
-        """Fixed matrix A = V B^T (the basis at the sample points) and its
-        pseudo-inverse L; the rank check runs here, once per space."""
-        _, V = _sample_values(self.monomials)
-        A = V @ self.coefficients.T
+        """Fixed matrix A = B^T over all monomials of the space's degree, in
+        ``monomials_of_degree`` order (a monomial the space does not list is
+        a zero row), and its pseudo-inverse L; the rank check runs here, once
+        per space."""
+        monos = monomials_of_degree(sum(self.monomials[0]), 3)
+        col = {e: c for c, e in enumerate(monos)}
+        A = np.zeros((len(monos), self.dim))
+        A[[col[e] for e in self.monomials]] = self.coefficients.T
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         if np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps) < self.dim:
             raise RuntimeError("basis is rank-deficient")
@@ -228,57 +233,52 @@ def symmetric_product_space(p, q, style="integer"):
 # ---------------------------------------------------------------------------
 
 @cache
-def _sample_values(monomials):
-    """Fixed points X on the unit sphere and the monomials evaluated there.
-
-    Twice as many points as monomials, on a Fibonacci lattice; the
-    Vandermonde matrix is checked to have full column rank, so a
-    homogeneous polynomial that vanishes at every point is zero.
-    """
-    n = 2 * len(monomials)
-    k = np.arange(n) + 0.5
-    z = 1.0 - 2.0 * k / n
-    r = np.sqrt(1.0 - z * z)
-    phi = k * math.pi * (3.0 - math.sqrt(5.0))
-    X = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    V = _monomial_values(X, monomials)
-    if np.linalg.matrix_rank(V) < len(monomials):
-        raise RuntimeError("sample points do not separate the monomials")
-    return _read_only(X), _read_only(V)
-
-
-@cache
-def _power_index(monomials):
-    """Powers k the monomials use, and where each monomial's x1^a, x2^b and
-    x3^c sit in a flattened (3, len(k)) table of coordinate powers."""
-    E = np.array(monomials).reshape(-1, 3)
-    k = np.arange(E.max() + 1)
-    return k.astype(float), (E + len(k) * np.arange(3)).T.ravel()
+def _substitution_plan(k):
+    """The degree k-1 -> k step of ``substitution_matrices``, in
+    ``monomials_of_degree`` order: each degree-k monomial x^e is x_i x^g, i
+    its first variable and g its parent of degree k-1, held as ``parent``
+    and ``var``; the 0/1 matrix U of shape (3 m_{k-1}, m_k) sends x_j x^h,
+    flattened as (j, h), to its column.  Read-only."""
+    prev = {g: h for h, g in enumerate(monomials_of_degree(k - 1, 3))}
+    # (j, h) for each x_j x^h = x^e, in the order of j
+    down = [[(j, prev[e[:j] + (e[j] - 1,) + e[j + 1:]]) for j in range(3) if e[j]]
+            for e in monomials_of_degree(k, 3)]
+    U = np.zeros((3, len(prev), len(down)), dtype=int)
+    for c, steps in enumerate(down):
+        U[tuple(zip(*steps)) + (c,)] = 1
+    var, parent = zip(*(steps[0] for steps in down))
+    return (_read_only(np.array(parent)), _read_only(np.array(var)),
+            _read_only(U.reshape(-1, len(down))))
 
 
-def _monomial_values(X, monomials):
-    """The monomials at the points X, shape (..., 3): one table X ** k
-    gathered per monomial, so each value is the same (x1^a x2^b) x3^c as
-    evaluating the monomial on its own.  The result is C-ordered, so the
-    BLAS product V @ B^T rounds as it does for a directly evaluated V."""
-    k, index = _power_index(monomials)
-    G = (X[..., None] ** k).reshape(X.shape[:-1] + (-1,)).take(index, -1)
-    m = len(monomials)
-    return G[..., :m] * G[..., m:2 * m] * G[..., 2 * m:]
+def substitution_matrices(S, p):
+    """Sym^p(R) for every R of the (n, 3, 3) stack S, shape (n, m_p, m_p)
+    over the degree-p monomials in ``monomials_of_degree`` order: row e
+    holds the coefficients of (Rx)^e.  One step a degree,
+    T_k[e] = (R_i . x) T_{k-1}[g] for x^e = x_i x^g (``_substitution_plan``),
+    in the dtype of S, so an integer stack gives integer matrices; for p = 1
+    the result is S itself."""
+    n = len(S)
+    T = S if p else np.ones((n, 1, 1), dtype=S.dtype)     # Sym^1(R) = R over x1, x2, x3
+    for k in range(2, p + 1):
+        parent, var, U = _substitution_plan(k)
+        T = (S[:, var, :, None] * T[:, parent, None, :]).reshape(n, len(var), -1) @ U
+    return T
 
 
 def _composed_values(space, S):
     """(F, f): the basis composed with each R of the stack S, in the
     coordinates of the solver, as F / f of shape (n, rows of A, d).
     Fraction S: the coefficients of ``basis[i] o R``, Python ints over the
-    lcm f of their denominators over the stack.  Float S: the basis at the
-    rotated sample points R X, over 1."""
+    lcm f of their denominators over the stack.  Float S: C(R)^T over 1,
+    C(R) = B Sym^p(R) the same coefficients over all degree-p monomials."""
     if S.dtype == object:
         F, f = coefficient_matrix([b.compose_linear(R) for R in S for b in space.basis],
                                   space.monomials)
         return F.reshape(len(S), space.dim, -1).transpose(0, 2, 1), f
-    X, _ = _sample_values(space.monomials)
-    return _monomial_values(X @ S.transpose(0, 2, 1), space.monomials) @ space.coefficients.T, 1
+    A = space.float_solver.A
+    T = substitution_matrices(S, sum(space.monomials[0]))
+    return T.transpose(0, 2, 1) @ A, 1
 
 
 def _harmonic_action(space, S):
@@ -289,12 +289,12 @@ def _harmonic_action(space, S):
     float64.  D(R)^T = L F(R) with the left inverse L of the solver's A; the
     residual A D(R)^T - F(R), which proves basis o R lies in the span, is
     checked for every element: exactly zero in Python ints for Fractions,
-    within ``SOLVE_TOL`` for floats, evaluated ``SAMPLE_BLOCK`` values at a
+    within ``SOLVE_TOL`` for floats, ``ACTION_BLOCK`` Sym^p entries at a
     time.
     """
     exact = S.dtype == object
     A, L, rows, scale, den = space.exact_solver if exact else space.float_solver
-    step = len(S) if exact else max(1, SAMPLE_BLOCK // (len(A) * len(space.monomials)))
+    step = len(S) if exact else max(1, ACTION_BLOCK // len(A) ** 2)
     if len(S) > step:
         return np.concatenate([_harmonic_action(space, S[i:i + step])[0]
                                for i in range(0, len(S), step)]), den
@@ -424,9 +424,13 @@ def _integer(v, what, trace_tol):
 def _select_independent_rows(M, m):
     """Indices of the first m linearly independent rows of M, in order.
 
-    They are the pivot columns of rref(M^T); M must have rank m.
+    They are the pivot columns of rref(M^T), reduced up to the m-th pivot;
+    M must have rank m, so the unreduced rest must be zero.
     """
-    _, pivots = rational_rref(M.T)
+    A, pivots = rational_rref(M.T, stop=m)
+    rest = A[len(pivots):, pivots[-1] + 1 if pivots else 0:]
+    if len(pivots) == m and (np.abs(rest) > zero_tolerance(M)).any():
+        _, pivots = rational_rref(M.T)          # the rank, for the message
     if len(pivots) != m:
         raise RuntimeError("found %d independent projected elements, expected %d"
                            % (len(pivots), m))

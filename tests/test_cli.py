@@ -224,3 +224,44 @@ class TestErrors:
                                       "--source", "nan,0,2", "--receiver", "0,0,2"])
         assert code == 1 and out == ""
         assert "finite" in err
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("value", [
+        {}, [], {"a": [], "b": {}}, [[[]]], (1, (2,)), "", "é ☃ \U0001F600 \n\t\"\\ \x00",
+        float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-320, 1.7976931348623157e308,
+        0.1, 3, -2 ** 70, True, False, None, np.float64(0.25),
+        {"z": [1, {"y": None, "x": [float("nan"), -0.0]}], "a": "α", "é": [True]}])
+    def test_edge_values_match_json_dumps(self, value):
+        assert cli._json(value) == _dumps(value)
+
+    def test_unserialisable_value_raises_like_json(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._json({"a": {1, 2}})
+
+    def test_every_document_matches_json_dumps(self, capsys, tmp_path):
+        blocks = tmp_path / "blocks.json"
+        blocks.write_text(json.dumps({"blocks": [{"p": 1, "q": 1, "basis_style": "orthonormal",
+                                                  "entries": list(np.eye(3).ravel())}]}))
+        tables = tmp_path / "tables"
+        for argv in (["group", "--name", "I"],
+                     ["harmonic-basis", "--degree", "2", "--style", "orthonormal"],
+                     ["basis-change", "--degree", "2"],
+                     ["invariant-harmonics", "--group", "I", "--degree", "6"],
+                     ["invariants", "--group", "D6", "--p", "2", "--q", "3"],
+                     ["invariants", "--group", "C4", "--p", "1", "--q", "2"],
+                     ["molien", "--group", "O", "--max-degree", "6"],
+                     ["forward", "--blocks", str(blocks), "--source", "0,0,2",
+                      "--receiver", "0,1,2"],
+                     ["pattern-residual", "--blocks", str(blocks), "--group", "C4"],
+                     ["regenerate-tables", "--out", str(tables)]):
+            code, out, err = run(capsys, argv + ["--format", "json"])
+            assert code == 0, err
+            assert out == _dumps(json.loads(out)) + "\n", argv
+        for f in sorted(tables.iterdir()):
+            text = f.read_text()
+            assert text == _dumps(json.loads(text)), f.name
