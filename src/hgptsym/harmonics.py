@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .polyalg import Polynomial, coefficient_matrix, rational_nullspace
+from .polyalg import Polynomial, coefficient_matrix
 
 _F = Fraction
 
@@ -168,18 +168,26 @@ def monomials_of_degree(n, nvars=3):
 
 
 def harmonic_nullspace_basis(n):
-    """Integer-style degree-n harmonic basis from the Laplacian null space."""
+    """Integer-style degree-n harmonic basis from the Laplacian null space.
+
+    A harmonic polynomial is fixed by its coefficients v on the monomials
+    x1^a x2^b x3^c with a < 2, the free columns of the Laplacian's matrix in
+    ``monomials_of_degree`` order; Laplace's equation gives the rest, a up:
+    a (a-1) v[a,b,c] = -(b+2)(b+1) v[a-2,b+2,c] - (c+2)(c+1) v[a-2,b,c+2].
+    Basis polynomial k has free coefficient k one and the others zero, as in
+    the null-space basis of that matrix's row echelon form.  Run in integers
+    with the free coefficient n!, of which v[a,b,c] is an integer multiple
+    of n!/a!, so every division is exact.
+    """
     monos = monomials_of_degree(n, 3)
-    if n < 2:
-        return [Polynomial.monomial(e) for e in monos]
-    # row e: the Laplacian of x^e over the degree n-2 monomials; the null
-    # space of its transpose holds the harmonic coefficient vectors
-    L, _ = coefficient_matrix([Polynomial.monomial(e).laplacian() for e in monos],
-                              monomials_of_degree(n - 2, 3))
+    pivots = [e for e in reversed(monos) if e[0] >= 2]      # a up
     basis = []
-    for v in rational_nullspace(L.T):
-        poly = Polynomial({monos[i]: c for i, c in enumerate(v)}, 3)
-        basis.append(poly.canonicalized()[0])
+    for free in (e for e in monos if e[0] < 2):
+        v = {e: math.factorial(n) * (e == free) for e in monos if e[0] < 2}
+        for a, b, c in pivots:
+            v[a, b, c] = -((b + 2) * (b + 1) * v[a - 2, b + 2, c]
+                           + (c + 2) * (c + 1) * v[a - 2, b, c + 2]) // (a * (a - 1))
+        basis.append(Polynomial(v, 3).canonicalized()[0])
     assert len(basis) == 2 * n + 1
     return basis
 

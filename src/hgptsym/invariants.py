@@ -118,14 +118,9 @@ class RepresentationSpace:
 
     @cached_property
     def float_solver(self):
-        """Fixed matrix A = B^T over all monomials of the space's degree, in
-        ``monomials_of_degree`` order (a monomial the space does not list is
-        a zero row), and its pseudo-inverse L; the rank check runs here, once
-        per space."""
-        monos = monomials_of_degree(sum(self.monomials[0]), 3)
-        col = {e: c for c, e in enumerate(monos)}
-        A = np.zeros((len(monos), self.dim))
-        A[[col[e] for e in self.monomials]] = self.coefficients.T
+        """Fixed matrix A = B^T and its pseudo-inverse L; the rank check runs
+        here, once per space."""
+        A = np.ascontiguousarray(self.coefficients.T)
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         if np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps) < self.dim:
             raise RuntimeError("basis is rank-deficient")
@@ -271,7 +266,8 @@ def _composed_values(space, S):
     coordinates of the solver, as F / f of shape (n, rows of A, d).
     Fraction S: the coefficients of ``basis[i] o R``, Python ints over the
     lcm f of their denominators over the stack.  Float S: C(R)^T over 1,
-    C(R) = B Sym^p(R) the same coefficients over all degree-p monomials."""
+    C(R) = B Sym^p(R) the same coefficients, as a harmonic space lists all
+    degree-p monomials in ``monomials_of_degree`` order."""
     if S.dtype == object:
         F, f = coefficient_matrix([b.compose_linear(R) for R in S for b in space.basis],
                                   space.monomials)
@@ -424,13 +420,9 @@ def _integer(v, what, trace_tol):
 def _select_independent_rows(M, m):
     """Indices of the first m linearly independent rows of M, in order.
 
-    They are the pivot columns of rref(M^T), reduced up to the m-th pivot;
-    M must have rank m, so the unreduced rest must be zero.
+    They are the pivot columns of rref(M^T); M must have rank m.
     """
-    A, pivots = rational_rref(M.T, stop=m)
-    rest = A[len(pivots):, pivots[-1] + 1 if pivots else 0:]
-    if len(pivots) == m and (np.abs(rest) > zero_tolerance(M)).any():
-        _, pivots = rational_rref(M.T)          # the rank, for the message
+    _, pivots = rational_rref(M.T)
     if len(pivots) != m:
         raise RuntimeError("found %d independent projected elements, expected %d"
                            % (len(pivots), m))

@@ -456,15 +456,13 @@ def zero_tolerance(rows):
     return RTOL * max(1.0, np.abs(A).max())
 
 
-def rational_rref(rows, stop=None):
+def rational_rref(rows):
     """Reduced row echelon form as (array, pivot_columns).
 
     All-float input is reduced in float64, anything else in object dtype
     with integers as ``Fraction``s and floats left as floats.  The pivot of
     a column is its first remaining entry whose magnitude exceeds
-    ``zero_tolerance`` (0 for exact input).  With ``stop`` the reduction
-    ends at that many pivots, leaving the rows below and the columns after
-    the last pivot as they stand.
+    ``zero_tolerance`` (0 for exact input).
     """
     floats = isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
     A = rows.astype(float) if floats else np.frompyfunc(_coerce, 1, 1)(np.array(rows, object))
@@ -473,12 +471,9 @@ def rational_rref(rows, stop=None):
     A = A.reshape(len(A), -1 if A.size else 0)
     tol = zero_tolerance(A)
     nr, nc = A.shape
-    last = nr if stop is None else min(nr, stop)
     pivots = []
     r = 0
     for c in range(nc):
-        if r == last:
-            break
         hits = np.flatnonzero(np.abs(A[r:, c]) > tol)
         if not hits.size:
             continue
@@ -489,6 +484,8 @@ def rational_rref(rows, stop=None):
         A[others] = A[others] - A[others, c, None] * A[r]
         pivots.append(c)
         r += 1
+        if r == nr:
+            break
     return A, pivots
 
 

@@ -247,7 +247,6 @@ class TestJsonWriter:
         blocks = tmp_path / "blocks.json"
         blocks.write_text(json.dumps({"blocks": [{"p": 1, "q": 1, "basis_style": "orthonormal",
                                                   "entries": list(np.eye(3).ravel())}]}))
-        tables = tmp_path / "tables"
         for argv in (["group", "--name", "I"],
                      ["harmonic-basis", "--degree", "2", "--style", "orthonormal"],
                      ["basis-change", "--degree", "2"],
@@ -257,11 +256,7 @@ class TestJsonWriter:
                      ["molien", "--group", "O", "--max-degree", "6"],
                      ["forward", "--blocks", str(blocks), "--source", "0,0,2",
                       "--receiver", "0,1,2"],
-                     ["pattern-residual", "--blocks", str(blocks), "--group", "C4"],
-                     ["regenerate-tables", "--out", str(tables)]):
+                     ["pattern-residual", "--blocks", str(blocks), "--group", "C4"]):
             code, out, err = run(capsys, argv + ["--format", "json"])
             assert code == 0, err
             assert out == _dumps(json.loads(out)) + "\n", argv
-        for f in sorted(tables.iterdir()):
-            text = f.read_text()
-            assert text == _dumps(json.loads(text)), f.name

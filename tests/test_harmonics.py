@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hgptsym import harmonics as H
-from hgptsym.polyalg import Polynomial, coefficient_matrix
+from hgptsym.polyalg import Polynomial, coefficient_matrix, rational_nullspace
 
 
 class TestSphereIntegration:
@@ -56,6 +56,17 @@ class TestRealBases:
             for e, c in p.terms.items():
                 A[i, index[e]] = float(c)
         assert np.linalg.matrix_rank(A) == 11
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_recursion_gives_the_laplacian_null_space_basis(self, n):
+        # the canonicalized null-space basis of the Laplacian's matrix, from
+        # its row echelon form
+        monos = H.monomials_of_degree(n, 3)
+        L, _ = coefficient_matrix([Polynomial.monomial(e).laplacian() for e in monos],
+                                  H.monomials_of_degree(n - 2, 3) if n >= 2 else [(0, 0, 0)])
+        want = [Polynomial(dict(zip(monos, v)), 3).canonicalized()[0]
+                for v in rational_nullspace(L.T)]
+        assert H.harmonic_nullspace_basis(n) == want
 
     def test_table_degree_one(self):
         basis = H.real_basis(1, "orthonormal")

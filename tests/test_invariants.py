@@ -666,6 +666,21 @@ def _reference_action(space, R):
     return np.linalg.lstsq(B.T, (B @ T).T, rcond=None)[0].T
 
 
+def _sampled_actions(space, S):
+    """D(R) for every R of the stack S by a second independent route: the
+    basis evaluated at seeded points x of the unit sphere and at R x by
+    powers of the coordinates, then b(R x) = D(R) b(x) solved by least
+    squares."""
+    E = np.array(space.monomials).reshape(-1, 3)
+    X = np.random.default_rng(0).normal(size=(3 * len(E), 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    B = space.coefficients
+    V = np.prod(X[:, None, :] ** E, axis=2) @ B.T
+    VR = np.prod((X @ S.transpose(0, 2, 1))[..., None, :] ** E, axis=-1) @ B.T
+    Dt = np.linalg.lstsq(V, VR.transpose(1, 0, 2).reshape(len(X), -1), rcond=None)[0]
+    return Dt.reshape(space.dim, len(S), space.dim).transpose(1, 2, 0)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -684,18 +699,20 @@ class TestBatchedActions:
     @pytest.mark.parametrize("style", ["integer", "orthonormal"])
     @pytest.mark.parametrize("name", BATCHED_GROUPS)
     def test_batched_stack_equals_one_element_path(self, name, style):
-        # bit for bit against action_matrix; within 1e-12 of the reference on
-        # about a dozen elements spread over the group
+        # every element: bit for bit against action_matrix, within 1e-12 of
+        # the sampled reference, and of the compose_linear one up to order 12
         g = sg.build_group(name)
-        some = slice(None, None, max(1, g.order // 12))
         for m in range(9):
             space = inv.harmonic_space(m, style)
             D, den = inv._harmonic_action(space, g.stack)
             assert den == 1 and D.shape == (g.order, space.dim, space.dim)
             one = np.array([inv.action_matrix(space, E) for E in g.elements])
             assert np.array_equal(_bits(D), _bits(one)), m
-            ref = np.array([_reference_action(space, E) for E in g.elements[some]])
-            assert np.max(np.abs(D[some] - ref)) <= 1e-12 * np.max(np.abs(ref)), m
+            refs = [_sampled_actions(space, g.stack)]
+            if g.order <= 12:
+                refs.append(np.array([_reference_action(space, E) for E in g.elements]))
+            for ref in refs:
+                assert np.max(np.abs(D - ref)) <= 1e-12 * np.max(np.abs(ref)), m
 
     @pytest.mark.parametrize("block", [1, 50, 10 ** 9])
     def test_blocking_does_not_change_the_stack(self, block, monkeypatch):
