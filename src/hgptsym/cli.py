@@ -228,6 +228,8 @@ def _xyz(text):
 
 
 def cmd_forward(args):
+    if args.nmax is not None and args.nmax < 0:
+        raise ValueError("--nmax must be non-negative, got %d" % args.nmax)
     blocks = _load_blocks(args.blocks)
     if args.nmax is not None:
         blocks = [b for b in blocks if b.p <= args.nmax and b.q <= args.nmax]

@@ -158,6 +158,8 @@ class HarmonicBasis:
 
 def monomials_of_degree(n, nvars=3):
     """All exponent tuples of total degree n, sorted reverse-lexicographically."""
+    if n < 0:
+        raise ValueError("degree must be non-negative, got %d" % n)
     out = []
     for combo in itertools.combinations_with_replacement(range(nvars), n):
         e = [0] * nvars

@@ -6,17 +6,34 @@ harmonic generalised polarizability tensor in a real harmonic basis,
 indices by i -> i + p.  This module converts between the complex (CGPT)
 and real (HGPT) compactions, applies the scaling and rotation laws,
 enforces symmetry patterns, and evaluates the forward voltage model.
+
+What depends only on its inputs is computed once and kept read-only:
+- D_p(R), keyed by (p, style, R's float entries), for the ``MEMO`` most
+  recently used keys; the span-residual check runs on every computation,
+  and a rejected R is never kept;
+- the I-vectors I_n(x) of ``forward_voltage``, keyed by (n, style, x), for
+  the ``MEMO`` most recently used keys: the coefficient matrix B of the
+  degree-n harmonic space times the degree-n monomial values at x;
+- the orthonormal span basis Q of a coefficient pattern
+  (``CoefficientPattern.span_basis``), once per pattern, which
+  ``apply_pattern`` projects with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import invariants
-from .harmonics import basis_change, monomial_expansion, monomials_of_degree, real_basis
+from .harmonics import basis_change, monomial_expansion, monomials_of_degree
+from .harmonics import real_basis  # noqa: F401  (the basis that indexes a block)
+from .invariants import _read_only
+
+MEMO = 32   # entries each of the D_p(R) and I-vector memos keeps: twice the 4 D_p(R)
+            # and 16 I-vectors of one rotated object seen by 4 sources and 4 receivers
 
 
 @dataclass(frozen=True)
@@ -138,25 +155,49 @@ def scale(N, s):
 
 
 def rotation_matrix(p, R, style="orthonormal"):
-    """D_p(R): action of R on the degree-p real basis, I_p(Rx) = D_p(R) I_p(x)."""
+    """D_p(R): action of R on the degree-p real basis, I_p(Rx) = D_p(R) I_p(x).
+
+    Read-only, and kept for the ``MEMO`` most recently used
+    (p, style, R's float entries)."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (3, 3):
+        raise ValueError("R must be a 3 x 3 matrix")
+    return _rotation_matrix(p, style, R.tobytes())
+
+
+@lru_cache(maxsize=MEMO)
+def _rotation_matrix(p, style, entries):
+    R = np.frombuffer(entries).reshape(3, 3)
     space = invariants.harmonic_space(p, style)
-    return np.asarray(invariants.action_matrix(space, np.asarray(R, dtype=float)),
-                      dtype=float)
+    return _read_only(np.asarray(invariants.action_matrix(space, R), dtype=float))
 
 
 def rotate(N, R):
     """Rotation law: the block of the rotated object R(B) is D_p(R)^T N D_q(R),
     so that sum_ij I_p^i(x) N'_ij I_q^j(y) = sum_ij I_p^i(Rx) N_ij I_q^j(Ry)."""
     Dp = rotation_matrix(N.p, R, N.basis_style)
-    Dq = rotation_matrix(N.q, R, N.basis_style)
+    Dq = Dp if N.q == N.p else rotation_matrix(N.q, R, N.basis_style)
     return HgptMatrix(N.p, N.q, Dp.T @ N.entries @ Dq, N.basis_style)
+
+
+@lru_cache(maxsize=MEMO)
+def _ivector(n, style, x):
+    """I_n(x) = B m(x), read-only: B the coefficient matrix of the degree-n
+    harmonic space, m(x) the degree-n monomial values, one degree at a time
+    in Python floats, x^e = x_i x^g (``invariants._substitution_plan``)."""
+    m = [1.0]
+    for k in range(1, n + 1):
+        parent, var, _ = invariants._substitution_plan(k)
+        m = [x[i] * m[g] for i, g in zip(var.tolist(), parent.tolist())]
+    return _read_only(invariants.harmonic_space(n, style).coefficients @ np.array(m))
 
 
 def forward_voltage(blocks, x_r, x_s):
     """Truncated voltage V_sr = sum_pq I_rp N_pq I_sq^T / (|x_r|^(2p+1) |x_s|^(2q+1)).
 
     ``blocks`` is an iterable of HgptMatrix; the I-vectors evaluate the same
-    real basis that indexes each block.
+    real basis that indexes each block, and are kept for the ``MEMO`` most
+    recently used (degree, style, point).
     """
     x_r = tuple(float(v) for v in x_r)
     x_s = tuple(float(v) for v in x_s)
@@ -166,19 +207,10 @@ def forward_voltage(blocks, x_r, x_s):
     rs = math.sqrt(sum(v * v for v in x_s))
     if rr == 0.0 or rs == 0.0:
         raise ValueError("source and receiver must be away from the origin")
-    cache = {}
-
-    def ivec(n, x, style):
-        key = (n, x, style)
-        if key not in cache:
-            basis = real_basis(n, style)
-            cache[key] = np.array([float(b.evaluate(x)) for b in basis.polynomials])
-        return cache[key]
-
     total = 0.0
     for N in blocks:
-        Ir = ivec(N.p, x_r, N.basis_style)
-        Is = ivec(N.q, x_s, N.basis_style)
+        Ir = _ivector(N.p, N.basis_style, x_r)
+        Is = _ivector(N.q, N.basis_style, x_s)
         total += float(Ir @ N.entries @ Is) / (rr ** (2 * N.p + 1) * rs ** (2 * N.q + 1))
     return total
 
@@ -192,13 +224,7 @@ def apply_pattern(N, pattern):
     """
     if (pattern.p, pattern.q) != (N.p, N.q) or pattern.style != N.basis_style:
         raise ValueError("pattern was built for a different block or basis style")
-    mats = pattern.matrix_span()
-    if not mats:
-        proj = np.zeros_like(N.entries)
-    else:
-        V = np.array([m.ravel() for m in mats])
-        # orthonormalize the span rows, then project
-        Q = np.linalg.qr(V.T, mode="reduced")[0]
-        proj = (Q @ (Q.T @ N.entries.ravel())).reshape(N.entries.shape)
+    Q = pattern.span_basis
+    proj = (Q @ (Q.T @ N.entries.ravel())).reshape(N.entries.shape)
     residual = float(np.linalg.norm(N.entries - proj))
     return HgptMatrix(N.p, N.q, proj, N.basis_style), residual

@@ -630,6 +630,15 @@ class CoefficientPattern:
         M[:, J[off], I[off]] += V[:, off]
         return list(M)
 
+    @cached_property
+    def span_basis(self):
+        """Orthonormal columns Q spanning the flattened ``matrix_span``,
+        read-only, so that Q Q^T projects a flattened block onto it; no
+        columns when the span is empty."""
+        n = (2 * self.p + 1) * (2 * self.q + 1)
+        V = np.array(self.matrix_span()).reshape(-1, n)
+        return _read_only(np.linalg.qr(V.T, mode="reduced")[0])
+
 
 def coefficient_pattern(inv):
     """Read the independent / tied / vanishing HGPT coefficients off a

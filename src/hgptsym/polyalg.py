@@ -474,14 +474,16 @@ def rational_rref(rows):
     pivots = []
     r = 0
     for c in range(nc):
-        hits = np.flatnonzero(np.abs(A[r:, c]) > tol)
-        if not hits.size:
+        hits = np.abs(A[r:, c]) > tol
+        k = int(hits.argmax())
+        if not hits[k]:
             continue
-        piv = r + int(hits[0])
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] / A[r, c]
-        others = np.flatnonzero((A[:, c] != 0) & (np.arange(nr) != r))
-        A[others] = A[others] - A[others, c, None] * A[r]
+        if k:
+            A[[r, r + k]] = A[[r + k, r]]
+        A[r] /= A[r, c]
+        others = A[:, c] != 0
+        others[r] = False
+        A[others] -= A[others, c, None] * A[r]
         pivots.append(c)
         r += 1
         if r == nr:

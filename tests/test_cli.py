@@ -209,6 +209,23 @@ class TestErrors:
         assert code == 1 and out == ""
         assert "max degree" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--group", "C4", "--p", "-1", "--q", "1"],
+        ["basis-change", "--degree", "-1"],
+    ])
+    def test_negative_degree(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == "error: degree must be non-negative, got -1\n"
+
+    def test_negative_nmax(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text('{"blocks": [{"p": 0, "q": 0, "entries": [1.0]}]}')
+        code, out, err = run(capsys, ["forward", "--blocks", str(path), "--nmax", "-1",
+                                      "--source", "0,0,2", "--receiver", "0,0,2"])
+        assert code != 0 and out == ""
+        assert "--nmax must be non-negative, got -1" in err
+
     def test_non_finite_block_entry(self, capsys, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"blocks": [{"p": 0, "q": 0, "entries": [NaN]}]}')

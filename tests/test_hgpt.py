@@ -9,13 +9,18 @@ from conftest import random_rotation
 from hgptsym import hgpt
 from hgptsym import invariants as inv
 from hgptsym import symgroups as sg
-from hgptsym.harmonics import basis_change, monomial_expansion, monomials_of_degree
+from hgptsym.harmonics import basis_change, monomial_expansion, monomials_of_degree, real_basis
 
 
 def random_cgpt(rng, p, q):
     e = rng.normal(size=(2 * p + 1, 2 * q + 1)) + \
         1j * rng.normal(size=(2 * p + 1, 2 * q + 1))
     return hgpt.CgptMatrix(p, q, e)
+
+
+def evaluated_ivector(n, style, x):
+    """I_n(x) read off the basis polynomials one at a time."""
+    return np.array([float(b.evaluate(x)) for b in real_basis(n, style).polynomials])
 
 
 class TestCgptConversion:
@@ -153,6 +158,32 @@ class TestRotate:
         s2 = np.linalg.svd(hgpt.rotate(N, R).entries, compute_uv=False)
         assert np.max(np.abs(s1 - s2)) < 1e-10
 
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    @pytest.mark.parametrize("p", range(7))
+    def test_matches_the_uncached_action(self, rng, p, style):
+        R = random_rotation(rng)
+        D = {n: np.asarray(inv.action_matrix(inv.harmonic_space(n, style), R), dtype=float)
+             for n in (p, 2)}
+        for q in (p, 2):
+            N = hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)), style)
+            want = D[p].T @ N.entries @ D[q]
+            for _ in range(2):              # computed, then memoised
+                got = hgpt.rotate(N, R).entries
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_non_orthogonal_matrix_raises_every_time(self):
+        R = np.diag([1.0, 1.0, 2.0])        # x3^2 -> 4 x3^2 leaves the harmonics
+        before = hgpt._rotation_matrix.cache_info()
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="not in the span"):
+                hgpt.rotation_matrix(2, R)
+        after = hgpt._rotation_matrix.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 2, before.hits)
+
+    def test_rejects_a_matrix_that_is_not_3_by_3(self):
+        with pytest.raises(ValueError, match="3 x 3"):
+            hgpt.rotation_matrix(1, np.eye(3).ravel())
+
 
 class TestForwardVoltage:
     def test_zero_blocks(self):
@@ -187,6 +218,25 @@ class TestForwardVoltage:
         N = hgpt.HgptMatrix(1, 1, np.eye(3))
         with pytest.raises(ValueError):
             hgpt.forward_voltage([N], (0, 0, 0), (1, 0, 0))
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_polynomial_evaluation(self, rng, n, style):
+        """Within 1e-14 of the voltage's scale sum |I_r| |N| |I_s| / den, on
+        which the rounding of the cancelling sum rests."""
+        blocks = [hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)), style)
+                  for p, q in [(n, n), (n, 1), (2, n)]]
+        for _ in range(5):
+            x_r, x_s = (tuple(rng.normal(size=3) * 2.5) for _ in range(2))
+            rr, rs = np.linalg.norm(x_r), np.linalg.norm(x_s)
+            want = scale = 0.0
+            for N in blocks:
+                Ir, Is = evaluated_ivector(N.p, style, x_r), evaluated_ivector(N.q, style, x_s)
+                den = rr ** (2 * N.p + 1) * rs ** (2 * N.q + 1)
+                want += float(Ir @ N.entries @ Is) / den
+                scale += float(np.abs(Ir) @ np.abs(N.entries) @ np.abs(Is)) / den
+            for _ in range(2):              # computed, then memoised
+                assert abs(hgpt.forward_voltage(blocks, x_r, x_s) - want) <= 1e-14 * scale
 
 
 class TestApplyPattern:
@@ -225,6 +275,51 @@ class TestApplyPattern:
         N = hgpt.HgptMatrix(1, 1, np.eye(3), basis_style="orthonormal")
         with pytest.raises(ValueError):
             hgpt.apply_pattern(N, pat)
+
+    @pytest.mark.parametrize("name, p, q", [("C4", 1, 1), ("C2", 2, 1), ("D6", 1, 2),
+                                            ("O", 2, 2), ("I", 2, 2)])
+    def test_matches_the_per_call_qr_projection(self, rng, name, p, q):
+        pat = self._pattern(name, p, q)
+        N = hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)))
+        V = np.array([m.ravel() for m in pat.matrix_span()])
+        Q = np.linalg.qr(V.T, mode="reduced")[0]
+        want = (Q @ (Q.T @ N.entries.ravel())).reshape(N.entries.shape)
+        for _ in range(2):                  # span basis computed, then cached
+            P, res = hgpt.apply_pattern(N, pat)
+            assert np.array_equal(P.entries, want)
+            assert res == float(np.linalg.norm(N.entries - want))
+
+    def test_empty_pattern_gives_the_zero_block(self, rng):
+        pat = self._pattern("Ii", 1, 2)
+        assert pat.matrix_span() == [] and pat.span_basis.shape == (15, 0)
+        N = hgpt.HgptMatrix(1, 2, rng.normal(size=(3, 5)))
+        P, res = hgpt.apply_pattern(N, pat)
+        assert np.array_equal(P.entries, np.zeros((3, 5)))
+        assert res == float(np.linalg.norm(N.entries))
+
+
+class TestMemos:
+    def test_memos_stay_within_their_bound(self, rng):
+        N = hgpt.HgptMatrix(2, 2, np.eye(5))
+        for _ in range(hgpt.MEMO + 5):
+            hgpt.rotate(N, random_rotation(rng))
+            hgpt.forward_voltage([N], rng.normal(size=3) + 3, rng.normal(size=3) + 3)
+            for memo in (hgpt._rotation_matrix, hgpt._ivector):
+                info = memo.cache_info()
+                assert info.maxsize == hgpt.MEMO and info.currsize <= hgpt.MEMO
+        assert hgpt._ivector.cache_info().currsize == hgpt.MEMO
+
+    def test_memoised_arrays_are_read_only(self, rng):
+        R = random_rotation(rng)
+        D = hgpt.rotation_matrix(2, R)
+        assert hgpt.rotation_matrix(2, R.copy()) is D
+        g = sg.build_group("C4")
+        space = inv.symmetric_product_space(1, 1, style="orthonormal")
+        pat = inv.coefficient_pattern(inv.invariant_subspace(space, g))
+        for a in (D, hgpt._ivector(2, "orthonormal", (1.0, 2.0, 3.0)), pat.span_basis):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestJsonSchema:
