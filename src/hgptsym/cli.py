@@ -119,7 +119,7 @@ def _pattern_dict(pat):
 def cmd_group(args):
     g = symgroups.build_group(args.name)
     report = symgroups.verify_group(g)
-    dets = [round(float(np.linalg.det(np.asarray(E, dtype=float)))) for E in g.elements]
+    dets = [round(d) for d in np.linalg.det(g.stack).tolist()]
     result = {
         "name": g.name, "order": g.order, "rational": g.is_rational,
         "rotations": dets.count(1), "improper": dets.count(-1),

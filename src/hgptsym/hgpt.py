@@ -11,9 +11,11 @@ What depends only on its inputs is computed once and kept read-only:
 - D_p(R), keyed by (p, style, R's float entries), for the ``MEMO`` most
   recently used keys; the span-residual check runs on every computation,
   and a rejected R is never kept;
-- the I-vectors I_n(x) of ``forward_voltage``, keyed by (n, style, x), for
-  the ``MEMO`` most recently used keys: the coefficient matrix B of the
-  degree-n harmonic space times the degree-n monomial values at x;
+- the scaled I-vectors K_n(x) = I_n(x) / |x|^(2n+1) of ``forward_voltage``,
+  keyed by (n, style, x), for the ``MEMO`` most recently used keys: the
+  coefficient matrix B of the degree-n harmonic space times the degree-n
+  monomial values at x, over |x|^(2n+1); a point is checked before every
+  lookup, and a rejected one is never kept;
 - the orthonormal span basis Q of a coefficient pattern
   (``CoefficientPattern.span_basis``), once per pattern, which
   ``apply_pattern`` projects with.
@@ -32,8 +34,8 @@ from .harmonics import basis_change, monomial_expansion, monomials_of_degree
 from .harmonics import real_basis  # noqa: F401  (the basis that indexes a block)
 from .invariants import _read_only
 
-MEMO = 32   # entries each of the D_p(R) and I-vector memos keeps: twice the 4 D_p(R)
-            # and 16 I-vectors of one rotated object seen by 4 sources and 4 receivers
+MEMO = 32   # entries each of the D_p(R) and K-vector memos keeps: twice the 4 D_p(R)
+            # and 16 K-vectors of one rotated object seen by 4 sources and 4 receivers
 
 
 @dataclass(frozen=True)
@@ -181,37 +183,47 @@ def rotate(N, R):
 
 
 @lru_cache(maxsize=MEMO)
-def _ivector(n, style, x):
-    """I_n(x) = B m(x), read-only: B the coefficient matrix of the degree-n
+def _kvector(n, style, x):
+    """K_n(x) = I_n(x) / |x|^(2n+1), read-only, for a finite point x away from
+    the origin: I_n(x) = B m(x), B the coefficient matrix of the degree-n
     harmonic space, m(x) the degree-n monomial values, one degree at a time
     in Python floats, x^e = x_i x^g (``invariants._substitution_plan``)."""
     m = [1.0]
     for k in range(1, n + 1):
         parent, var, _ = invariants._substitution_plan(k)
         m = [x[i] * m[g] for i, g in zip(var.tolist(), parent.tolist())]
-    return _read_only(invariants.harmonic_space(n, style).coefficients @ np.array(m))
+    return _read_only(invariants.harmonic_space(n, style).coefficients @ np.array(m)
+                      / _norm(x) ** (2 * n + 1))
+
+
+def _norm(x):
+    return math.sqrt(sum(v * v for v in x))
 
 
 def forward_voltage(blocks, x_r, x_s):
     """Truncated voltage V_sr = sum_pq I_rp N_pq I_sq^T / (|x_r|^(2p+1) |x_s|^(2q+1)).
 
     ``blocks`` is an iterable of HgptMatrix; the I-vectors evaluate the same
-    real basis that indexes each block, and are kept for the ``MEMO`` most
-    recently used (degree, style, point).
+    real basis that indexes each block.  Each call looks up K_n = I_n /
+    |x|^(2n+1) once per (degree, style, point), from a memo of the ``MEMO``
+    most recently used; the points are checked on every call, before any
+    lookup, so a rejected point is never kept.
     """
     x_r = tuple(float(v) for v in x_r)
     x_s = tuple(float(v) for v in x_s)
     if not all(math.isfinite(v) for v in x_r + x_s):
         raise ValueError("source and receiver must be finite points")
-    rr = math.sqrt(sum(v * v for v in x_r))
-    rs = math.sqrt(sum(v * v for v in x_s))
-    if rr == 0.0 or rs == 0.0:
+    if _norm(x_r) == 0.0 or _norm(x_s) == 0.0:
         raise ValueError("source and receiver must be away from the origin")
+    Kr, Ks = {}, {}
     total = 0.0
     for N in blocks:
-        Ir = _ivector(N.p, N.basis_style, x_r)
-        Is = _ivector(N.q, N.basis_style, x_s)
-        total += float(Ir @ N.entries @ Is) / (rr ** (2 * N.p + 1) * rs ** (2 * N.q + 1))
+        kr, ks = (N.p, N.basis_style), (N.q, N.basis_style)
+        if kr not in Kr:
+            Kr[kr] = _kvector(N.p, N.basis_style, x_r)
+        if ks not in Ks:
+            Ks[ks] = _kvector(N.q, N.basis_style, x_s)
+        total += float(Kr[kr] @ N.entries @ Ks[ks])
     return total
 
 

@@ -143,12 +143,77 @@ def _distances(P, E):
 
 
 def _nearest(P, E):
-    """Distance from each matrix in P to its nearest one in E (inf if E is empty)."""
+    """Distance from each matrix in P to its nearest one in E (inf if E is empty),
+    by a full search."""
     return _distances(P, E).min(axis=1, initial=np.inf)
 
 
+# Weights of the matching key k(M) = M.flat @ _KEY: fixed, of mixed sign and
+# with no simple relation between them, so distinct elements get distinct keys.
+_KEY = np.sqrt([2.0, 3, 5, 7, 11, 13, 17, 19, 23]) % 1 * np.tile([1.0, -1.0], 5)[:9]
+_KEY_NORM = float(np.abs(_KEY).sum())
+_EPS = np.finfo(float).eps
+
+
+class _Keyed:
+    """A stack of 3x3 matrices sorted by key, for matching by key window.
+
+    If max|P - E| < tol then |k(P) - k(E)| < ||w||_1 tol, and a computed key
+    is within a few ulps of ||w||_1 max|M| of the exact one.  So every
+    element within ``tol`` of a matrix P lies in a window of the sorted keys
+    around k(P), which two ``searchsorted`` calls find, and max-abs
+    distances are taken for the window candidates only.  A matrix with a
+    nan or inf entry is within ``tol`` of nothing; its window holds at most
+    the elements whose keys are not finite either.
+    """
+
+    def __init__(self, E):
+        self.E = np.reshape(np.asarray(E, dtype=float), (-1, 9))
+        keys = self.E @ _KEY
+        self.order = np.argsort(keys, kind="stable")   # non-finite keys at the ends
+        self.keys = keys[self.order]
+        finite = np.isfinite(keys)
+        self.all_finite = bool(finite.all())
+        self.size = np.abs(self.E if self.all_finite else self.E[finite]).max(initial=0.0)
+
+    def pairs(self, P, tol):
+        """Candidate pairs (i, j) of rows of P and elements, the max-abs
+        distance of each pair, and each row's candidate count: every pair at
+        a distance below ``tol`` is among them."""
+        P = np.reshape(P, (-1, 9))
+        kp = P @ _KEY
+        bad = ~np.isfinite(kp)
+        Q = P[~bad] if bad.any() else P
+        size = max(self.size, Q.max(initial=0.0), -Q.min(initial=0.0))
+        h = 1.000001 * _KEY_NORM * tol + 64 * _EPS * _KEY_NORM * size
+        lo = self.keys.searchsorted(kp - h, "left")
+        count = self.keys.searchsorted(kp + h, "right") - lo
+        i = np.arange(len(P)).repeat(count)
+        j = self.order[np.arange(len(i)) + (lo - count.cumsum() + count).repeat(count)]
+        diff = P[i]
+        diff -= self.E[j]
+        return i, j, np.abs(diff, out=diff).max(axis=1, initial=0.0), count
+
+    def nearest(self, P, tol):
+        """Distance from each matrix in P to its nearest element, as the full
+        search ``_nearest`` gives it: the least candidate distance where one
+        is below ``tol``, the full search for the other rows."""
+        P = np.reshape(np.asarray(P, dtype=float), (-1, 9))
+        if not self.all_finite:     # a nan element is every row's nearest
+            return _nearest(P, self.E)
+        _, _, d, count = self.pairs(P, tol)
+        best = np.full(len(P), np.inf)
+        hit = count > 0
+        if hit.any():
+            best[hit] = np.minimum.reduceat(d, (count.cumsum() - count)[hit])
+        miss = ~(best < tol)
+        if miss.any():
+            best[miss] = _nearest(P[miss], self.E)
+        return best
+
+
 def _contains(elements, M, tol=MATCH_TOL):
-    return bool(_nearest(M, elements)[0] < tol)
+    return bool(_Keyed(elements).nearest(M, tol)[0] < tol)
 
 
 def _group(name, generators, expected_order=None):
@@ -156,9 +221,11 @@ def _group(name, generators, expected_order=None):
 
     A round multiplies every generator by the whole frontier (the elements
     the last round found) in one stacked float product, and matches the
-    products in floats against the elements found so far and against each
-    other.  The first of equal products is kept, so the elements come in the
-    order a one-at-a-time search appends them.  If every generator entry is
+    products by key window (``_Keyed``) against the elements found so far
+    and against the earlier products of the round.  A product is new when
+    neither holds one within ``MATCH_TOL``, so the first of equal products
+    is kept and the elements come in the order a one-at-a-time search
+    appends them.  If every generator entry is
     an int or a Fraction (``polyalg.is_rational``), only the new elements
     are also formed exactly, as Python-int matrices over one gcd-reduced
     denominator: their floats are the exact values rounded, and the
@@ -176,9 +243,10 @@ def _group(name, generators, expected_order=None):
     start, n = 0, 1
     while start < n:            # the frontier is found[start:n]
         P = (floats[None] @ found[start:n, None]).reshape(-1, 3, 3)   # [e, g] row-major
-        near = _distances(P, np.concatenate([found[:n], P])) < MATCH_TOL
-        new = np.flatnonzero(~(near[:, :n].any(axis=1)
-                               | np.tril(near[:, n:], -1).any(axis=1)))
+        i, j, d, _ = _Keyed(np.concatenate([found[:n], P])).pairs(P, MATCH_TOL)
+        old = np.zeros(len(P), dtype=bool)     # near a found element or an earlier product
+        old[i[(d < MATCH_TOL) & (j < n + i)]] = True
+        new = np.flatnonzero(~old)
         if n + len(new) > MAX_ORDER:
             raise ValueError("closure exceeded %d elements; bad group spec" % MAX_ORDER)
         if exact:
@@ -251,10 +319,10 @@ def type3_group(g2, g1):
     if 2 * g1.order != g2.order:
         raise ValueError("G1 is not an index-2 subgroup of G2 (orders %d, %d)"
                          % (g1.order, g2.order))
-    if not np.all(_nearest(g1.stack, g2.stack) < MATCH_TOL):
+    if not np.all(_Keyed(g2.stack).nearest(g1.stack, MATCH_TOL) < MATCH_TOL):
         raise ValueError("G1 is not a subgroup of G2")
     J = np.array(J_MATRIX, dtype=float)
-    off = _nearest(g2.stack, g1.stack) >= MATCH_TOL       # G2 \ G1
+    off = _Keyed(g1.stack).nearest(g2.stack, MATCH_TOL) >= MATCH_TOL     # G2 \ G1
     coset = J @ g2.stack[off]
     elems = np.concatenate([g1.stack, coset])
     exact = None
@@ -291,27 +359,43 @@ def build_group(name):
 # verification
 # ---------------------------------------------------------------------------
 
+_BLOCK = 512    # products matched at once: each (512, 9) temporary takes 37 kB
+
+
 def verify_group(g, tol=MATCH_TOL):
     """Check orthogonality, identity, closure and inverses; report residuals.
 
-    The closure residual is the largest distance from a product A B, or an
-    inverse A^T, to its nearest element.  Each row A of the multiplication
-    table is compared with all elements in one array operation: O(|G|^2)
-    matrix products in O(|G|^2) memory.
+    ``tol`` bounds every check and must be finite and positive.  The closure
+    residual is the largest distance from a product A B, or an inverse A^T,
+    to its nearest element.  The products are formed in blocks of whole rows
+    of the multiplication table, about ``_BLOCK`` at a time, and matched by
+    key window (``_Keyed``), which finds each product's nearest element
+    exactly when one is within ``tol``, and falls back to the full search
+    otherwise: O(|G|^2 log |G|) time for a group, with temporaries of about
+    ``_BLOCK`` x 9 floats whatever its order.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive, got %r" % (tol,))
     failures = []
     S = g.stack
     orth = np.abs(S.transpose(0, 2, 1) @ S - np.eye(3)).max(axis=(1, 2), initial=0.0)
-    for k in np.flatnonzero(orth > 1e-9):
+    for k in np.flatnonzero(orth > tol):
         failures.append("element %d not orthogonal (residual %.3g)" % (k, orth[k]))
-    if not _contains(S, np.eye(3), tol):
+    keyed = _Keyed(S)
+    if not keyed.nearest(np.eye(3), tol)[0] < tol:
         failures.append("identity missing")
-    max_close = float(max([_nearest(S.transpose(0, 2, 1), S).max(initial=0.0)]
-                          + [_nearest(A @ S, S).max() for A in S]))
+    n = len(S)
+    rows = max(1, _BLOCK // max(n, 1))
+    row_max = [keyed.nearest(S[a:a + rows, None] @ S, tol).reshape(-1, n).max(axis=1)
+               for a in range(0, n, rows)]
+    max_close = float(max([keyed.nearest(S.transpose(0, 2, 1), tol).max(initial=0.0)]
+                          + np.concatenate(row_max or [[]]).tolist()))
     if max_close > tol:
         failures.append("closure/inverse residual %.3g exceeds %.3g" % (max_close, tol))
-    for i, j in np.argwhere(np.triu(_distances(S, S) < tol, 1)):
-        failures.append("duplicate elements %d and %d" % (i, j))
+    i, j, d, _ = keyed.pairs(S, tol)
+    dup = (j > i) & (d < tol)
+    for k in np.lexsort((j[dup], i[dup])):
+        failures.append("duplicate elements %d and %d" % (i[dup][k], j[dup][k]))
     expected = None
     m = _NAME_RE.match(g.name)
     if m:

@@ -70,6 +70,13 @@ class TestSubcommands:
         assert doc["result"]["verified"] is True
         assert doc["result"]["improper"] == 24
 
+    @pytest.mark.parametrize("name,rotations,improper", [
+        ("I", 60, 0), ("Ii", 60, 60), ("type3:O/T", 12, 12), ("C1", 1, 0)])
+    def test_group_counts_rotations_by_determinant(self, capsys, name, rotations, improper):
+        doc = run_json(capsys, ["group", "--name", name])["result"]
+        assert (doc["rotations"], doc["improper"]) == (rotations, improper)
+        assert doc["verified"] is True
+
     def test_harmonic_basis(self, capsys):
         doc = run_json(capsys, ["harmonic-basis", "--degree", "2"])
         assert len(doc["result"]["polynomials"]) == 5

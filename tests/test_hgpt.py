@@ -304,10 +304,39 @@ class TestMemos:
         for _ in range(hgpt.MEMO + 5):
             hgpt.rotate(N, random_rotation(rng))
             hgpt.forward_voltage([N], rng.normal(size=3) + 3, rng.normal(size=3) + 3)
-            for memo in (hgpt._rotation_matrix, hgpt._ivector):
+            for memo in (hgpt._rotation_matrix, hgpt._kvector):
                 info = memo.cache_info()
                 assert info.maxsize == hgpt.MEMO and info.currsize <= hgpt.MEMO
-        assert hgpt._ivector.cache_info().currsize == hgpt.MEMO
+        assert hgpt._kvector.cache_info().currsize == hgpt.MEMO
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    def test_kvector_is_the_scaled_ivector(self, rng, style):
+        for n in range(7):
+            x = tuple(rng.normal(size=3) * 2.0)
+            want = evaluated_ivector(n, style, x) / np.linalg.norm(x) ** (2 * n + 1)
+            got = hgpt._kvector(n, style, x)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_each_degree_is_looked_up_once_per_call(self, rng):
+        blocks = [hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)))
+                  for p in (1, 2) for q in (1, 2)]
+        x_r, x_s = tuple(rng.normal(size=3) + 3), tuple(rng.normal(size=3) + 3)
+        for misses in (4, 0):
+            before = hgpt._kvector.cache_info()
+            hgpt.forward_voltage(blocks, x_r, x_s)
+            after = hgpt._kvector.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (4 - misses,
+                                                                                misses)
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.0, 2.0), (0.0, math.inf, 1.0),
+                                     (0.0, 0.0, 0.0), (1e-200, 0.0, 0.0)])
+    def test_rejected_points_raise_every_time_and_are_never_kept(self, bad):
+        blocks = [hgpt.HgptMatrix(1, 1, np.eye(3))]
+        before = hgpt._kvector.cache_info()
+        for args in [(bad, (0.0, 0.0, 2.0)), ((0.0, 0.0, 2.0), bad)] * 2:
+            with pytest.raises(ValueError, match="finite|origin"):
+                hgpt.forward_voltage(blocks, *args)
+        assert hgpt._kvector.cache_info() == before
 
     def test_memoised_arrays_are_read_only(self, rng):
         R = random_rotation(rng)
@@ -316,7 +345,7 @@ class TestMemos:
         g = sg.build_group("C4")
         space = inv.symmetric_product_space(1, 1, style="orthonormal")
         pat = inv.coefficient_pattern(inv.invariant_subspace(space, g))
-        for a in (D, hgpt._ivector(2, "orthonormal", (1.0, 2.0, 3.0)), pat.span_basis):
+        for a in (D, hgpt._kvector(2, "orthonormal", (1.0, 2.0, 3.0)), pat.span_basis):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0

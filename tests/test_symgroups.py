@@ -1,5 +1,6 @@
 """Point-group construction, closure, and the three group types."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -156,24 +157,28 @@ class TestCrystallographicGrid:
 
 def brute_force_residuals(g):
     """O(|G|^3) reference: the largest |E^T E - I| entry, and the largest
-    distance from a product A B or an inverse A^T to its nearest element."""
+    distance from a product A B or an inverse A^T to its nearest element,
+    each product scanned against every element."""
     elems = [np.array(E) for E in g.elements]
+    S = np.array(elems)
     orth = max(np.max(np.abs(E.T @ E - np.eye(3))) for E in elems)
     close = 0.0
     for A in elems:
-        for P in [A @ B for B in elems] + [A.T]:
-            close = max(close, min(np.max(np.abs(P - E)) for E in elems))
+        P = np.array([A @ B for B in elems] + [A.T])
+        close = max(close, np.abs(P[:, None] - S[None]).max(axis=(2, 3)).min(axis=1).max())
     return orth, close
 
 
 class TestVerification:
-    @pytest.mark.parametrize("name", ["C4", "D6", "O", "I", "type3:O/T"])
+    @pytest.mark.parametrize("name", ["C4", "D6", "O", "I", "type3:O/T"]
+                             + sorted(set(CRYSTALLOGRAPHIC) - {"C4", "D6", "O", "type3:O/T"})
+                             + ["Ii"])
     def test_residuals_match_brute_force(self, name):
         g = sg.build_group(name)
         report = sg.verify_group(g)
         orth, close = brute_force_residuals(g)
-        assert abs(report.max_orthogonality_residual - orth) <= 1e-15
-        assert abs(report.max_closure_residual - close) <= 1e-15
+        assert report.max_orthogonality_residual == orth
+        assert report.max_closure_residual == close
 
     def test_missing_rotation_fails_closure(self):
         c4 = sg.build_group("C4")
@@ -202,6 +207,109 @@ class TestVerification:
         report = sg.verify_group(g)
         assert report.failures == ["identity missing",
                                    "closure/inverse residual 2 exceeds 1e-09"]
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf"), -float("inf")])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            sg.verify_group(sg.build_group("C4"), tol)
+
+    def test_orthogonality_is_checked_at_tol(self):
+        g = sg.PointGroup("C2", (np.eye(3), np.diag([1.0, -1.0, -1.0]) * (1 + 1e-6)), ())
+        assert sg.verify_group(g, 1e-5).passed
+        assert sg.verify_group(g, 1e-6).failures == [
+            "element 1 not orthogonal (residual 2e-06)",
+            "closure/inverse residual 2e-06 exceeds 1e-06"]
+
+    def test_empty_group(self):
+        report = sg.verify_group(sg.PointGroup("C1", np.zeros((0, 3, 3)), ()))
+        assert report.failures == ["identity missing", "order 0, expected 1"]
+        assert report.max_orthogonality_residual == report.max_closure_residual == 0.0
+
+    def test_near_duplicates_are_listed_as_the_full_table_lists_them(self):
+        S = sg.build_group("I").stack
+        shift = np.array([-0.3, 0.5, 0.5, 2.0])[:, None, None] * sg.MATCH_TOL
+        near = np.concatenate([S, S[[7, 3, 7, 5]] + shift])      # keys not in index order
+        report = sg.verify_group(sg.PointGroup("I", near, ()))
+        pairs = np.argwhere(np.triu(sg._distances(near, near) < sg.MATCH_TOL, 1))
+        assert pairs.tolist() == [[3, 61], [7, 60], [7, 62], [60, 62]]
+        dups = ["duplicate elements %d and %d" % (i, j) for i, j in pairs]
+        assert [f for f in report.failures if f.startswith("duplicate")] == dups
+
+
+# ---------------------------------------------------------------------------
+# matching by key window against the full search
+# ---------------------------------------------------------------------------
+
+def same_floats(a, b):
+    return np.array_equal(a, b, equal_nan=True)
+
+
+class TestKeyedMatching:
+    def test_equal_keys_with_different_entries_are_not_confused(self):
+        v = np.arange(9.0) - 4.0
+        v -= (v @ sg._KEY) / (sg._KEY @ sg._KEY) * sg._KEY     # orthogonal to the weights
+        A = np.eye(3)
+        B = A + 0.5 * (v / np.abs(v).max()).reshape(3, 3)
+        assert abs(sg._KEY @ (A - B).ravel()) < 1e-15 and np.abs(A - B).max() == 0.5
+        E = np.array([A, B])
+        keyed = sg._Keyed(E)
+        assert keyed.nearest(E, sg.MATCH_TOL).tolist() == [0.0, 0.0]
+        P = np.array([A, B]) + 0.5 * sg.MATCH_TOL
+        assert same_floats(keyed.nearest(P, sg.MATCH_TOL), sg._nearest(P, E))
+        i, j, d, count = keyed.pairs(P, sg.MATCH_TOL)
+        assert count.tolist() == [2, 2]
+        assert sorted(zip(i[d < sg.MATCH_TOL].tolist(), j[d < sg.MATCH_TOL].tolist())) == [
+            (0, 0), (1, 1)]
+        g = sg.PointGroup("C1", E, ())
+        report = sg.verify_group(g)
+        assert report.max_closure_residual == brute_force_residuals(g)[1] > 0.5
+        assert not any(f.startswith("duplicate") for f in report.failures)
+
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 2.0])
+    def test_a_product_near_an_element(self, factor):
+        S = sg.build_group("I").stack
+        P = S[[11, 40, 23]].copy()
+        P[0, 1, 2] += factor * sg.MATCH_TOL
+        P[1] -= factor * sg.MATCH_TOL
+        P[2] += factor * sg.MATCH_TOL * np.sign(sg._KEY).reshape(3, 3)    # the widest key gap
+        got = sg._Keyed(S).nearest(P, sg.MATCH_TOL)
+        assert same_floats(got, sg._nearest(P, S))
+        assert (got < sg.MATCH_TOL).tolist() == [factor < 1] * 3
+        i, j, d, _ = sg._Keyed(S).pairs(P, sg.MATCH_TOL)
+        assert sorted(zip(i[d < sg.MATCH_TOL].tolist(), j[d < sg.MATCH_TOL].tolist())) == (
+            [(0, 11), (1, 40), (2, 23)] if factor < 1 else [])
+        assert got == pytest.approx(factor * sg.MATCH_TOL, rel=1e-6)
+
+    def test_every_pair_within_tol_is_a_candidate(self, rng):
+        S = sg.build_group("Ii").stack
+        edge = 0.99 * sg.MATCH_TOL * np.sign(sg._KEY).reshape(3, 3)
+        P = np.concatenate([S, S + rng.uniform(-1, 1, S.shape) * sg.MATCH_TOL, S + edge,
+                            S - edge, S + rng.uniform(-1, 1, S.shape) * 1e-3])
+        i, j, d, count = sg._Keyed(S).pairs(P, sg.MATCH_TOL)
+        full = sg._distances(P, S)
+        assert np.array_equal(d, full[i, j]) and count.sum() == len(i)
+        assert set(zip(*np.nonzero(full < sg.MATCH_TOL))) <= set(zip(i.tolist(), j.tolist()))
+        for tol in (1e-9, 1e-3, 0.3, 2.0):
+            assert same_floats(sg._Keyed(S).nearest(P, tol), sg._nearest(P, S))
+
+    def test_empty_stacks(self):
+        S = sg.build_group("C4").stack
+        assert sg._Keyed(np.zeros((0, 3, 3))).nearest(S, sg.MATCH_TOL).tolist() == [np.inf] * 4
+        assert sg._Keyed(S).nearest(np.zeros((0, 3, 3)), sg.MATCH_TOL).shape == (0,)
+        assert not sg._contains(np.zeros((0, 3, 3)), np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_give_the_full_search(self, bad):
+        S = sg.build_group("D4").stack.copy()
+        P = np.concatenate([S, S[:2]])
+        P[-1, 0, 0] = bad
+        assert same_floats(sg._Keyed(S).nearest(P, sg.MATCH_TOL), sg._nearest(P, S))
+        S[3, 2, 1] = bad
+        assert same_floats(sg._Keyed(S).nearest(P, sg.MATCH_TOL), sg._nearest(P, S))
+        i, j, d, _ = sg._Keyed(S).pairs(P, sg.MATCH_TOL)
+        full = sg._distances(P, S) < sg.MATCH_TOL
+        assert set(zip(*np.nonzero(full))) == set(zip(i[d < sg.MATCH_TOL].tolist(),
+                                                       j[d < sg.MATCH_TOL].tolist()))
 
 
 class TestMemoisation:
@@ -271,6 +379,84 @@ class TestEquality:
 # ---------------------------------------------------------------------------
 # the one closure against the two it replaced
 # ---------------------------------------------------------------------------
+
+def _table_group(name, generators, expected_order=None):
+    """The closure as it matched products before key windows: one table of
+    max-abs distances from each round's products to the found elements and
+    to each other, an earlier product's column read off its lower triangle."""
+    gens = [np.array(G, dtype=object).reshape(3, 3) for G in generators]
+    exact = all(sg.is_rational(x) for G in gens for x in G.flat)
+    floats = np.array([G.astype(float) for G in gens]).reshape(-1, 3, 3)
+    if exact:
+        ints = [integer_matrix(G) for G in gens]
+        elems = [integer_matrix(np.identity(3, dtype=object))]
+    found = np.empty((sg.MAX_ORDER, 3, 3))
+    found[0] = np.identity(3)
+    start, n = 0, 1
+    while start < n:
+        P = (floats[None] @ found[start:n, None]).reshape(-1, 3, 3)
+        near = sg._distances(P, np.concatenate([found[:n], P])) < sg.MATCH_TOL
+        new = np.flatnonzero(~(near[:, :n].any(axis=1)
+                               | np.tril(near[:, n:], -1).any(axis=1)))
+        if n + len(new) > sg.MAX_ORDER:
+            raise ValueError("closure exceeded %d elements; bad group spec" % sg.MAX_ORDER)
+        if exact:
+            for k in new.tolist():
+                (G, a), (E, b) = ints[k % len(gens)], elems[start + k // len(gens)]
+                N, den = G @ E, a * b
+                c = math.gcd(den, *N.flat)
+                elems.append((N // c, den // c))
+                P[k] = N / den
+        found[n:n + len(new)] = P[new]
+        start, n = n, n + len(new)
+    return sg.PointGroup(name, found[:n], floats,
+                         tuple(tuple(tuple(F(x, den) for x in row) for row in N.tolist())
+                               for N, den in elems) if exact else None)
+
+
+_PYTHAGOREAN = np.array([[F(3, 5), F(-4, 5), 0], [F(4, 5), F(3, 5), 0], [0, 0, 1]],
+                        dtype=object)
+CUSTOM_GENERATORS = {
+    "flip": [np.diag([1.0, -1.0, -1.0])],
+    "int flip": [((1, 0, 0), (0, -1, 0), (0, 0, -1))],
+    "Fraction C4": [tuple(tuple(map(Fraction, r)) for r in sg._rot_z(4))],
+    "float T": [np.array(sg._ROT2_X1, dtype=float), sg._CYCLE_XYZ],
+    "QOQ^T": [_PYTHAGOREAN @ np.array(G, dtype=object) @ _PYTHAGOREAN.T
+              for G in sg._GENERATORS["O"](0)],
+    "float QOQ^T": [np.array(_PYTHAGOREAN @ np.array(G, dtype=object) @ _PYTHAGOREAN.T,
+                             dtype=float) for G in sg._GENERATORS["O"](0)],
+    "3-fold about (1,1,1) and a flip": [sg._axis_rotation((1, 1, 1), 2 * np.pi / 3),
+                                        np.diag([1.0, -1.0, -1.0])],
+    "I by 3- and 5-fold": [sg._axis_rotation(((1 + 5 ** 0.5) / 2, 1.0, 0.0), 2 * np.pi / 5),
+                           sg._axis_rotation((1.0, 1.0, 1.0), 2 * np.pi / 3)],
+    **{"generators of " + n: list(sg.build_group(n).generators)
+       for n in ["Ii", "type3:O/T", "type3:D6/D3", "D7i"]},
+}
+
+
+class TestClosureAgainstTheTable:
+    @pytest.mark.parametrize("family,n", [(f, n) for f in "CD" for n in range(1, 9)]
+                             + [("T", 0), ("O", 0), ("I", 0)])
+    def test_built_in_families(self, family, n):
+        gens = sg._GENERATORS[family](n)
+        got, want = sg._group("g", gens), _table_group("g", gens)
+        assert got.stack.tobytes() == want.stack.tobytes()
+        assert got.exact_elements == want.exact_elements
+
+    @pytest.mark.parametrize("name", sorted(CUSTOM_GENERATORS))
+    def test_custom_generators(self, name):
+        gens = CUSTOM_GENERATORS[name]
+        got, want = sg._group("g", gens), _table_group("g", gens)
+        assert got.order > 1
+        assert got.stack.tobytes() == want.stack.tobytes()
+        assert got.exact_elements == want.exact_elements
+
+    def test_both_stop_at_max_order(self):
+        R = sg._axis_rotation((0.0, 0.0, 1.0), 1.0)
+        for close in (sg._group, _table_group):
+            with pytest.raises(ValueError, match="closure exceeded"):
+                close("C_inf", [R])
+
 
 def _reference_close_float(generators, max_order=sg.MAX_ORDER):
     elems = np.empty((max_order, 3, 3))
