@@ -8,9 +8,12 @@ and real (HGPT) compactions, applies the scaling and rotation laws,
 enforces symmetry patterns, and evaluates the forward voltage model.
 
 What depends only on its inputs is computed once and kept read-only:
-- D_p(R), keyed by (p, style, R's float entries), for the ``MEMO`` most
-  recently used keys; the span-residual check runs on every computation,
-  and a rejected R is never kept;
+- D_p(R), element 0 of the one-element stack R in the memo of float
+  actions that group stacks share (``invariants._float_actions``), keyed by
+  the degree-p space and R's float64 bytes, for the ``MEMO`` most recently
+  used keys; the span-residual check runs on every computation, and a
+  rejected R (not orthogonal, or with a nan or inf entry when p >= 1)
+  raises every time and is never kept;
 - the scaled I-vectors K_n(x) = I_n(x) / |x|^(2n+1) of ``forward_voltage``,
   keyed by (n, style, x), for the ``MEMO`` most recently used keys: the
   coefficient matrix B of the degree-n harmonic space times the degree-n
@@ -32,10 +35,7 @@ import numpy as np
 from . import invariants
 from .harmonics import basis_change, monomial_expansion, monomials_of_degree
 from .harmonics import real_basis  # noqa: F401  (the basis that indexes a block)
-from .invariants import _read_only
-
-MEMO = 32   # entries each of the D_p(R) and K-vector memos keeps: twice the 4 D_p(R)
-            # and 16 K-vectors of one rotated object seen by 4 sources and 4 receivers
+from .invariants import MEMO, _read_only
 
 
 @dataclass(frozen=True)
@@ -160,18 +160,11 @@ def rotation_matrix(p, R, style="orthonormal"):
     """D_p(R): action of R on the degree-p real basis, I_p(Rx) = D_p(R) I_p(x).
 
     Read-only, and kept for the ``MEMO`` most recently used
-    (p, style, R's float entries)."""
+    (degree-p space, R's float64 bytes) with the group stacks."""
     R = np.asarray(R, dtype=float)
     if R.shape != (3, 3):
         raise ValueError("R must be a 3 x 3 matrix")
-    return _rotation_matrix(p, style, R.tobytes())
-
-
-@lru_cache(maxsize=MEMO)
-def _rotation_matrix(p, style, entries):
-    R = np.frombuffer(entries).reshape(3, 3)
-    space = invariants.harmonic_space(p, style)
-    return _read_only(np.asarray(invariants.action_matrix(space, R), dtype=float))
+    return invariants._float_actions(invariants.harmonic_space(p, style), R.tobytes())[0]
 
 
 def rotate(N, R):

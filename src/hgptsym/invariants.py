@@ -33,8 +33,10 @@ stack of elements; in floats F(R) = (B Sym^p(R))^T, from the substitution
 matrices Sym^p(R) of x -> R x on the degree-p monomials, built for the whole
 stack by one recursion over the degree (``substitution_matrices``), with no
 sample points.  ``action_matrix`` is the same function on a stack of one.
-A float projector reads the stack D(G), of shape (|G|, d, d), built once
-per (space, group) and kept read-only on the space; on S_pq it is one
+Every float D(R) is memoised once, read-only, keyed by the harmonic space
+and the float64 bytes of the element stack (``_float_actions``, ``MEMO``
+keys): ``action_stack`` reads D(G), of shape (|G|, d, d), from it, and
+``hgpt.rotation_matrix`` a stack of one.  A float projector on S_pq is one
 contraction of the flattened stacks D_p(G) and D_q(G) over the element
 axis, the mean Kronecker product, folded onto the symmetric pairs once.  An
 exact projector sums the exact ``action_matrix`` of each element, composed
@@ -44,10 +46,11 @@ over one denominator.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +64,8 @@ _F = Fraction
 TRACE_TOL = 1e-6
 PROJECTOR_TOL = 1e-9
 SOLVE_TOL = 1e-10
-STACK_MEMO = 16          # groups whose action stacks a space keeps
+MEMO = 64                # memo entries: a float-grid pass uses 33 (space, stack) keys,
+                         # an hgpt campaign 8 pattern stacks and 4 D_p(R) an object
 ACTION_BLOCK = 1 << 14   # Sym^p entries a float action batch builds at once
 SVD_RELTOL = 1e-10
 
@@ -139,12 +143,6 @@ class RepresentationSpace:
             raise RuntimeError("basis is rank-deficient")
         L, l = integer_matrix(rref[:, m:].T)
         return _Solver(N.T, _read_only(L), _read_only(np.array(rows)), a * l, l)
-
-    @cached_property
-    def action_stacks(self):
-        """Memo of ``action_stack``: group -> read-only float D(G), oldest
-        use first."""
-        return {}
 
 
 class _Solver(NamedTuple):
@@ -298,30 +296,30 @@ def _harmonic_action(space, S):
     Dt = L @ F[:, rows]
     F = scale * F
     resid = abs(A @ Dt - F).max((1, 2)) / np.maximum(abs(F).max((1, 2)), 1e-300)
-    bad = resid > (0 if exact else SOLVE_TOL)
+    bad = ~(resid <= (0 if exact else SOLVE_TOL))       # nan fails
     if bad.any():
         raise RuntimeError("composed polynomial not in the span (residual %g)"
                            % float(resid[bad][0]))
     return Dt.transpose(0, 2, 1), den * f
 
 
+@lru_cache(maxsize=MEMO)
+def _float_actions(space, entries):
+    """D(R) for each R of the float64 (n, 3, 3) stack whose bytes are
+    ``entries``, on a harmonic space: the read-only (n, d, d) float stack,
+    kept for the ``MEMO`` most recently used (space, entries).  A stack the
+    span check rejects raises on every call and is never kept."""
+    S = np.frombuffer(entries).reshape(-1, 3, 3)
+    return _read_only(np.ascontiguousarray(_harmonic_action(space, S)[0]))
+
+
 def action_stack(space, group):
     """D(G), the read-only float (|G|, d, d) stack of ``group``'s actions on
-    a harmonic space, element order as in ``group.elements``.
-
-    Built once per (space, group) and kept on the space, which holds the
-    stacks of its ``STACK_MEMO`` most recently used groups.
-    """
+    a harmonic space, element order as in ``group.elements``; memoised by
+    ``_float_actions`` under the bytes of ``group.stack``."""
     if space.kind != "harmonic":
         raise ValueError("action stacks are built on harmonic spaces")
-    memo = space.action_stacks
-    D = memo.pop(group, None)               # re-inserted below as the newest
-    if D is None:
-        D = _read_only(np.ascontiguousarray(_harmonic_action(space, group.stack)[0]))
-        if len(memo) >= STACK_MEMO:
-            del memo[next(iter(memo))]
-    memo[group] = D
-    return D
+    return _float_actions(space, group.stack.tobytes())
 
 
 def _fold(K):
@@ -411,8 +409,9 @@ def check_trace_tol(trace_tol):
 
 def _integer(v, what, trace_tol):
     """``v`` as an int: exactly for a Fraction, within trace_tol for a float."""
-    n = round(v)
-    if abs(v - n) > (0 if isinstance(v, _F) else trace_tol):
+    exact = isinstance(v, _F)
+    n = round(v) if exact or math.isfinite(v) else v
+    if not abs(v - n) <= (0 if exact else trace_tol):      # nan and inf fail
         raise RuntimeError("%s %s is not an integer" % (what, v))
     return int(n)
 

@@ -41,7 +41,7 @@ class PointGroup:
 
     Two groups are equal when they have the same name, the same
     rationality and bit-identical element stacks; the hash is computed once,
-    so a group can key the memoised action stacks in ``invariants``.
+    so a group can key a dict.
     """
 
     name: str
@@ -143,9 +143,11 @@ def _distances(P, E):
 
 
 def _nearest(P, E):
-    """Distance from each matrix in P to its nearest one in E (inf if E is empty),
-    by a full search."""
-    return _distances(P, E).min(axis=1, initial=np.inf)
+    """Distance from each matrix in P to its nearest one in E, by a full
+    search: an element with a nan or inf entry is near nothing, and a P with
+    none to compare to (E empty or all non-finite) gets inf."""
+    E = np.reshape(np.asarray(E, dtype=float), (-1, 9))
+    return _distances(P, E[np.isfinite(E).all(axis=1)]).min(axis=1, initial=np.inf)
 
 
 # Weights of the matching key k(M) = M.flat @ _KEY: fixed, of mixed sign and
@@ -199,7 +201,7 @@ class _Keyed:
         search ``_nearest`` gives it: the least candidate distance where one
         is below ``tol``, the full search for the other rows."""
         P = np.reshape(np.asarray(P, dtype=float), (-1, 9))
-        if not self.all_finite:     # a nan element is every row's nearest
+        if not self.all_finite:     # the full search skips a non-finite element
             return _nearest(P, self.E)
         _, _, d, count = self.pairs(P, tol)
         best = np.full(len(P), np.inf)
@@ -379,7 +381,7 @@ def verify_group(g, tol=MATCH_TOL):
     failures = []
     S = g.stack
     orth = np.abs(S.transpose(0, 2, 1) @ S - np.eye(3)).max(axis=(1, 2), initial=0.0)
-    for k in np.flatnonzero(orth > tol):
+    for k in np.flatnonzero(~(orth <= tol)):         # nan fails
         failures.append("element %d not orthogonal (residual %.3g)" % (k, orth[k]))
     keyed = _Keyed(S)
     if not keyed.nearest(np.eye(3), tol)[0] < tol:
@@ -388,9 +390,9 @@ def verify_group(g, tol=MATCH_TOL):
     rows = max(1, _BLOCK // max(n, 1))
     row_max = [keyed.nearest(S[a:a + rows, None] @ S, tol).reshape(-1, n).max(axis=1)
                for a in range(0, n, rows)]
-    max_close = float(max([keyed.nearest(S.transpose(0, 2, 1), tol).max(initial=0.0)]
-                          + np.concatenate(row_max or [[]]).tolist()))
-    if max_close > tol:
+    max_close = float(np.concatenate([keyed.nearest(S.transpose(0, 2, 1), tol)]
+                                     + row_max).max(initial=0.0))
+    if not max_close <= tol:
         failures.append("closure/inverse residual %.3g exceeds %.3g" % (max_close, tol))
     i, j, d, _ = keyed.pairs(S, tol)
     dup = (j > i) & (d < tol)

@@ -173,12 +173,38 @@ class TestRotate:
 
     def test_non_orthogonal_matrix_raises_every_time(self):
         R = np.diag([1.0, 1.0, 2.0])        # x3^2 -> 4 x3^2 leaves the harmonics
-        before = hgpt._rotation_matrix.cache_info()
+        before = inv._float_actions.cache_info()
         for _ in range(2):
             with pytest.raises(RuntimeError, match="not in the span"):
                 hgpt.rotation_matrix(2, R)
-        after = hgpt._rotation_matrix.cache_info()
+        after = inv._float_actions.cache_info()
         assert (after.misses, after.hits) == (before.misses + 2, before.hits)
+        assert after.currsize == before.currsize
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    @pytest.mark.parametrize("p", [1, 2, 6])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_matrix_raises_every_time(self, bad, p, style):
+        R = np.eye(3)
+        R[2, 0] = bad
+        before = inv._float_actions.cache_info()
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="not in the span"):
+                hgpt.rotation_matrix(p, R, style)
+        after = inv._float_actions.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 2, before.hits)
+        assert after.currsize == before.currsize
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    @pytest.mark.parametrize("name", ["C4", "D6", "O", "I", "Oi"])
+    def test_equals_the_group_stack_bit_for_bit(self, name, style):
+        g = sg.build_group(name)
+        for p in range(7):
+            stack = inv.action_stack(inv.harmonic_space(p, style), g)
+            for k, E in enumerate(g.elements):
+                D = hgpt.rotation_matrix(p, E, style)
+                assert D.shape == stack[k].shape and D.tobytes() == stack[k].tobytes()
 
     def test_rejects_a_matrix_that_is_not_3_by_3(self):
         with pytest.raises(ValueError, match="3 x 3"):
@@ -301,13 +327,15 @@ class TestApplyPattern:
 class TestMemos:
     def test_memos_stay_within_their_bound(self, rng):
         N = hgpt.HgptMatrix(2, 2, np.eye(5))
+        assert hgpt.MEMO is inv.MEMO
         for _ in range(hgpt.MEMO + 5):
             hgpt.rotate(N, random_rotation(rng))
             hgpt.forward_voltage([N], rng.normal(size=3) + 3, rng.normal(size=3) + 3)
-            for memo in (hgpt._rotation_matrix, hgpt._kvector):
+            for memo in (inv._float_actions, hgpt._kvector):
                 info = memo.cache_info()
                 assert info.maxsize == hgpt.MEMO and info.currsize <= hgpt.MEMO
-        assert hgpt._kvector.cache_info().currsize == hgpt.MEMO
+        for memo in (inv._float_actions, hgpt._kvector):
+            assert memo.cache_info().currsize == hgpt.MEMO
 
     @pytest.mark.parametrize("style", ["orthonormal", "integer"])
     def test_kvector_is_the_scaled_ivector(self, rng, style):
@@ -341,7 +369,11 @@ class TestMemos:
     def test_memoised_arrays_are_read_only(self, rng):
         R = random_rotation(rng)
         D = hgpt.rotation_matrix(2, R)
-        assert hgpt.rotation_matrix(2, R.copy()) is D
+        before = inv._float_actions.cache_info()
+        again = hgpt.rotation_matrix(2, R.copy())
+        after = inv._float_actions.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert again.tobytes() == D.tobytes() and not again.flags.writeable
         g = sg.build_group("C4")
         space = inv.symmetric_product_space(1, 1, style="orthonormal")
         pat = inv.coefficient_pattern(inv.invariant_subspace(space, g))

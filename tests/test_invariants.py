@@ -327,6 +327,19 @@ class TestMolien:
             assert inv.invariant_subspace(space, g).dimension == ms.h[m], \
                 (name, m)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_element_gives_no_integer(self, bad):
+        c4 = sg.build_group("C4")
+        g = sg.PointGroup("C4", c4.elements[:3] + (np.full((3, 3), bad),), ())
+        with pytest.raises(RuntimeError, match="Molien coefficient .* is not an integer"):
+            inv.molien_series(g, 2)
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_integer_check_rejects_non_finite_values(self, v):
+        with pytest.raises(RuntimeError, match="projector trace .* is not an integer"):
+            inv._integer(v, "projector trace", inv.TRACE_TOL)
+
     def test_invariant_harmonics_cross_validates(self):
         got = inv.invariant_harmonics(sg.build_group("O"), 4)
         assert got.dimension == 1
@@ -610,14 +623,20 @@ class TestStackedProjector:
         space = inv.harmonic_space(2)
         kept = sg.build_group("D6")
         D = inv.action_stack(space, kept)
-        for k in range(3 * inv.STACK_MEMO):
+        for k in range(3 * inv.MEMO):
             ad_hoc = sg.PointGroup("ad hoc", (np.eye(3), _rotation_about_x3(0.1 + k)), ())
             inv.action_stack(space, ad_hoc)
+            before = inv._float_actions.cache_info()
             assert inv.action_stack(space, kept) is D
-            assert len(space.action_stacks) <= inv.STACK_MEMO
-        assert ad_hoc in space.action_stacks
+            after = inv._float_actions.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+            assert after.maxsize == inv.MEMO and after.currsize <= inv.MEMO
         first = sg.PointGroup("ad hoc", (np.eye(3), _rotation_about_x3(0.1)), ())
-        assert first not in space.action_stacks
+        for group, hit in ((ad_hoc, True), (first, False)):
+            before = inv._float_actions.cache_info()
+            inv.action_stack(space, group)
+            after = inv._float_actions.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (hit, not hit)
 
     def test_stacks_need_a_harmonic_space(self):
         with pytest.raises(ValueError, match="harmonic"):
@@ -748,12 +767,34 @@ class TestBatchedActions:
         elements = [_rotation_about_x3(2 * np.pi * k / 6) for k in range(6)]
         elements[3] = skew
         g = sg.PointGroup("bad middle", tuple(elements), ())
+        before = inv._float_actions.cache_info()
         with pytest.raises(RuntimeError, match="not in the span") as batched:
             inv.action_stack(space, g)
         with pytest.raises(RuntimeError, match="not in the span") as alone:
             inv.action_matrix(space, skew)
         assert str(batched.value) == str(alone.value)
-        assert g not in space.action_stacks
+        with pytest.raises(RuntimeError, match="not in the span"):
+            inv.action_stack(space, g)          # raises again: the stack was never kept
+        after = inv._float_actions.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        assert after.currsize == before.currsize
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("degree", [1, 2, 6])
+    def test_non_finite_element_is_not_in_the_span(self, degree, bad):
+        space = inv.harmonic_space(degree)
+        R = np.eye(3)
+        R[1, 2] = bad
+        g = sg.PointGroup("non-finite", (np.eye(3), R), ())
+        before = inv._float_actions.cache_info()
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="not in the span"):
+                inv.action_matrix(space, R)
+            with pytest.raises(RuntimeError, match="not in the span"):
+                inv.action_stack(space, g)
+        after = inv._float_actions.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
 class TestSubstitutionMatrices:
