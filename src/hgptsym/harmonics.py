@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -353,17 +353,25 @@ class BasisChange:
     """Coefficients a[l, m] with H_n^m = sum_l a[l, m] I_n^l.
 
     Indices run over l, m = -n..n mapped to 0..2n.  ``matrix`` follows the
-    (A_p)_{mn} = a_{nm} convention, i.e. matrix = a.T.  Unitary when built
-    from the orthonormal real style.
+    (A_p)_{mn} = a_{nm} convention, i.e. matrix = a.T, and ``adjoint`` is its
+    conjugate transpose a.conj(); each is made once per change, and
+    ``basis_change`` keeps one change per (degree, style).  Unitary when
+    built from the orthonormal real style.
     """
 
     degree: int
     real_style: str
     a: np.ndarray
 
-    @property
+    @cached_property
     def matrix(self):
         return self.a.T
+
+    @cached_property
+    def adjoint(self):
+        adjoint = self.a.conj()
+        adjoint.flags.writeable = False
+        return adjoint
 
     def unitarity_residual(self):
         A = self.a
@@ -374,7 +382,7 @@ class BasisChange:
 def basis_change(n, real_style="orthonormal"):
     """Solve H_n^m = sum_l a[l, m] I_n^l on monomial coefficients.
 
-    Memoised; ``a`` is read-only.
+    Memoised; ``a``, ``matrix`` and ``adjoint`` are read-only.
     """
     monos, A = monomial_expansion(n)
     N, den = coefficient_matrix(real_basis(n, real_style).polynomials, monos)

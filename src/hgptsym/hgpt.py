@@ -12,8 +12,10 @@ What depends only on its inputs is computed once and kept read-only:
   actions that group stacks share (``invariants._float_actions``), keyed by
   the degree-p space and R's float64 bytes, for the ``MEMO`` most recently
   used keys; the span-residual check runs on every computation, and a
-  rejected R (not orthogonal, or with a nan or inf entry when p >= 1)
+  rejected R (not orthogonal, or with a nan or inf entry, at every degree)
   raises every time and is never kept;
+- the basis change A_n of each (degree, style) and its conjugate transpose
+  A_n^H (``harmonics.basis_change``, ``matrix`` and ``adjoint``);
 - the scaled I-vectors K_n(x) = I_n(x) / |x|^(2n+1) of ``forward_voltage``,
   keyed by (n, style, x), for the ``MEMO`` most recently used keys: the
   coefficient matrix B of the degree-n harmonic space times the degree-n
@@ -22,6 +24,15 @@ What depends only on its inputs is computed once and kept read-only:
 - the orthonormal span basis Q of a coefficient pattern
   (``CoefficientPattern.span_basis``), once per pattern, which
   ``apply_pattern`` projects with.
+
+So a call is a few lookups and the products of its formula: D_p^T N D_q
+(``rotate``), A_p^H M A_q and A_p N A_q^H (the CGPT conversions), Q (Q^T n)
+on the flattened block (``apply_pattern``), and sum K_r N K_s over the
+blocks (``forward_voltage``, which converts each point once to three
+Python floats and checks it).  The operands are 1 x 1 to 13 x 13, where
+numpy's call overhead outweighs the arithmetic, so the products are
+``ndarray.dot`` chains, about half the cost of ``@`` chains there.  Every
+block, given or computed, passes the one finite check of ``HgptMatrix``.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ class HgptMatrix:
         e = np.asarray(self.entries, dtype=float)
         if e.shape != (2 * self.p + 1, 2 * self.q + 1):
             raise ValueError("entries must be (2p+1) x (2q+1)")
-        if not np.all(np.isfinite(e)):
+        if not np.isfinite(e).all():
             raise ValueError("HGPT entries must be finite")
         object.__setattr__(self, "entries", e)
 
@@ -118,15 +129,14 @@ def hgpt_from_cgpt(M, style="orthonormal"):
     did not come from a real-contrast problem.
     """
     A_p, A_q = _changes(M.p, M.q, style)
-    N = A_p.matrix.conj().T @ M.entries @ A_q.matrix
-    residue = float(np.max(np.abs(N.imag)))
-    return HgptMatrix(M.p, M.q, N.real, style), residue
+    N = A_p.adjoint.dot(M.entries).dot(A_q.matrix)
+    return HgptMatrix(M.p, M.q, N.real, style), float(abs(N.imag).max())
 
 
 def cgpt_from_hgpt(N):
     """Inverse of hgpt_from_cgpt (unitary changes in the orthonormal style)."""
     A_p, A_q = _changes(N.p, N.q, N.basis_style)
-    return CgptMatrix(N.p, N.q, A_p.matrix @ N.entries.astype(complex) @ A_q.matrix.conj().T)
+    return CgptMatrix(N.p, N.q, A_p.matrix.dot(N.entries).dot(A_q.adjoint))
 
 
 def hgpt_from_gpt(G, style="orthonormal"):
@@ -141,18 +151,17 @@ def hgpt_from_gpt(G, style="orthonormal"):
     _, AMHp = monomial_expansion(p)
     _, AMHq = monomial_expansion(q)
     A_p, A_q = _changes(p, q, style)
-    Wp = A_p.matrix.conj().T      # rows: real index i; columns: order m
-    Wq = A_q.matrix.conj().T
     Mc = AMHp.conj().T @ Gm @ AMHq
-    N = Wp @ Mc @ Wq.conj().T / ((2 * p + 1) * (2 * q + 1))
+    # W_p = A_p^H: rows real index i, columns order m
+    N = A_p.adjoint @ Mc @ A_q.matrix / ((2 * p + 1) * (2 * q + 1))
     residue = float(np.max(np.abs(N.imag)))
     return HgptMatrix(p, q, N.real, style), residue
 
 
 def scale(N, s):
     """Scaling law: N_pq(sB) = s^(p+q+1) N_pq(B)."""
-    if s <= 0:
-        raise ValueError("scale factor must be positive")
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError("scale factor must be a positive finite number")
     return HgptMatrix(N.p, N.q, N.entries * s ** (N.p + N.q + 1), N.basis_style)
 
 
@@ -172,7 +181,7 @@ def rotate(N, R):
     so that sum_ij I_p^i(x) N'_ij I_q^j(y) = sum_ij I_p^i(Rx) N_ij I_q^j(Ry)."""
     Dp = rotation_matrix(N.p, R, N.basis_style)
     Dq = Dp if N.q == N.p else rotation_matrix(N.q, R, N.basis_style)
-    return HgptMatrix(N.p, N.q, Dp.T @ N.entries @ Dq, N.basis_style)
+    return HgptMatrix(N.p, N.q, Dp.T.dot(N.entries).dot(Dq), N.basis_style)
 
 
 @lru_cache(maxsize=MEMO)
@@ -190,7 +199,15 @@ def _kvector(n, style, x):
 
 
 def _norm(x):
-    return math.sqrt(sum(v * v for v in x))
+    return math.sqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2])
+
+
+def _point(x):
+    """x as a tuple of three Python floats."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise ValueError("source and receiver must be points with three coordinates")
+    return tuple(x.tolist())
 
 
 def forward_voltage(blocks, x_r, x_s):
@@ -199,12 +216,12 @@ def forward_voltage(blocks, x_r, x_s):
     ``blocks`` is an iterable of HgptMatrix; the I-vectors evaluate the same
     real basis that indexes each block.  Each call looks up K_n = I_n /
     |x|^(2n+1) once per (degree, style, point), from a memo of the ``MEMO``
-    most recently used; the points are checked on every call, before any
-    lookup, so a rejected point is never kept.
+    most recently used; the points are checked on every call (exactly three
+    finite coordinates, away from the origin), before any lookup, so a
+    rejected point is never kept.
     """
-    x_r = tuple(float(v) for v in x_r)
-    x_s = tuple(float(v) for v in x_s)
-    if not all(math.isfinite(v) for v in x_r + x_s):
+    x_r, x_s = _point(x_r), _point(x_s)
+    if not all(map(math.isfinite, x_r + x_s)):
         raise ValueError("source and receiver must be finite points")
     if _norm(x_r) == 0.0 or _norm(x_s) == 0.0:
         raise ValueError("source and receiver must be away from the origin")
@@ -216,7 +233,7 @@ def forward_voltage(blocks, x_r, x_s):
             Kr[kr] = _kvector(N.p, N.basis_style, x_r)
         if ks not in Ks:
             Ks[ks] = _kvector(N.q, N.basis_style, x_s)
-        total += float(Kr[kr] @ N.entries @ Ks[ks])
+        total += float(Kr[kr].dot(N.entries).dot(Ks[ks]))
     return total
 
 
@@ -230,6 +247,8 @@ def apply_pattern(N, pattern):
     if (pattern.p, pattern.q) != (N.p, N.q) or pattern.style != N.basis_style:
         raise ValueError("pattern was built for a different block or basis style")
     Q = pattern.span_basis
-    proj = (Q @ (Q.T @ N.entries.ravel())).reshape(N.entries.shape)
-    residual = float(np.linalg.norm(N.entries - proj))
-    return HgptMatrix(N.p, N.q, proj, N.basis_style), residual
+    v = N.entries.ravel()
+    proj = Q.dot(Q.T.dot(v))
+    d = v - proj
+    residual = math.sqrt(d.dot(d))
+    return HgptMatrix(N.p, N.q, proj.reshape(N.entries.shape), N.basis_style), residual

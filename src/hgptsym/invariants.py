@@ -284,9 +284,13 @@ def _harmonic_action(space, S):
     residual A D(R)^T - F(R), which proves basis o R lies in the span, is
     checked for every element: exactly zero in Python ints for Fractions,
     within ``SOLVE_TOL`` for floats, ``ACTION_BLOCK`` Sym^p entries at a
-    time.
+    time.  A float element with a nan or inf entry is rejected before any
+    arithmetic, on every degree.
     """
     exact = S.dtype == object
+    if not exact and not np.isfinite(S).all():
+        raise RuntimeError("composed polynomial not in the span (an element has a "
+                           "non-finite entry)")
     A, L, rows, scale, den = space.exact_solver if exact else space.float_solver
     step = len(S) if exact else max(1, ACTION_BLOCK // len(A) ** 2)
     if len(S) > step:

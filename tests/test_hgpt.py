@@ -1,6 +1,7 @@
 """HGPT block algebra: basis conversions, transformation laws, forward model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,14 @@ class TestScale:
         with pytest.raises(ValueError):
             hgpt.scale(N, 0.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    def test_rejects_a_factor_before_any_arithmetic(self, s):
+        N = hgpt.HgptMatrix(1, 1, np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scale factor must be a positive finite number"):
+                hgpt.scale(N, s)
+
 
 class TestRotate:
     def test_identity(self, rng):
@@ -181,7 +190,6 @@ class TestRotate:
         assert (after.misses, after.hits) == (before.misses + 2, before.hits)
         assert after.currsize == before.currsize
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("style", ["orthonormal", "integer"])
     @pytest.mark.parametrize("p", [1, 2, 6])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -195,6 +203,19 @@ class TestRotate:
         after = inv._float_actions.cache_info()
         assert (after.misses, after.hits) == (before.misses + 2, before.hits)
         assert after.currsize == before.currsize
+
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_matrix_is_rejected_at_every_degree_without_warnings(self, bad, p):
+        N = hgpt.HgptMatrix(p, p, np.eye(2 * p + 1))
+        R = np.full((3, 3), bad)
+        before = inv._float_actions.cache_info()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="not in the span"):
+                    hgpt.rotate(N, R)
+        assert inv._float_actions.cache_info().currsize == before.currsize
 
     @pytest.mark.parametrize("style", ["orthonormal", "integer"])
     @pytest.mark.parametrize("name", ["C4", "D6", "O", "I", "Oi"])
@@ -239,6 +260,15 @@ class TestForwardVoltage:
             v2 = hgpt.forward_voltage([N], R @ xr, R @ xs)
             worst = max(worst, abs(v1 - v2))
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("bad", [(1.0, 2.0, 3.0, 4.0), (1.0, 2.0), (), ((0.0, 0.0, 2.0),)])
+    def test_a_point_needs_three_coordinates(self, bad):
+        blocks = [hgpt.HgptMatrix(1, 1, np.eye(3))]
+        before = hgpt._kvector.cache_info()
+        for args in [(bad, (0.0, 0.0, 2.0)), ((0.0, 0.0, 2.0), bad)]:
+            with pytest.raises(ValueError, match="three coordinates"):
+                hgpt.forward_voltage(blocks, *args)
+        assert hgpt._kvector.cache_info() == before
 
     def test_rejects_origin(self):
         N = hgpt.HgptMatrix(1, 1, np.eye(3))
@@ -405,3 +435,84 @@ class TestNonFiniteInput:
         blocks = [hgpt.HgptMatrix(1, 1, np.eye(3))]
         with pytest.raises(ValueError, match="finite"):
             hgpt.forward_voltage(blocks, (0.0, 0.0, 2.0), (math.nan, 0.0, 2.0))
+
+
+def written_out(L, E, R):
+    """(L E R)_ij summed term by term, L_ik E_kl R_lj over k and l, with the
+    sum of the terms' magnitudes, on which the rounding of the product rests."""
+    want = np.zeros((L.shape[0], R.shape[1]), dtype=complex)
+    scale = np.zeros(want.shape)
+    for i in range(want.shape[0]):
+        for j in range(want.shape[1]):
+            terms = [complex(L[i, k] * E[k, l] * R[l, j])
+                     for k in range(E.shape[0]) for l in range(E.shape[1])]
+            want[i, j] = complex(math.fsum(t.real for t in terms),
+                                 math.fsum(t.imag for t in terms))
+            scale[i, j] = sum(abs(t) for t in terms)
+    return want, scale
+
+
+BLOCKS = [(p, q) for p in range(4) for q in range(4)]
+
+
+class TestWrittenOutFormulas:
+    """Each block operation against its formula summed term by term, within
+    1e-14 of the magnitude sum of the terms."""
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    def test_rotate(self, rng, style):
+        R = random_rotation(rng)
+        for p, q in BLOCKS:
+            N = hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)), style)
+            Dp, Dq = hgpt.rotation_matrix(p, R, style), hgpt.rotation_matrix(q, R, style)
+            want, scale = written_out(Dp.T, N.entries, Dq)
+            got = hgpt.rotate(N, R)
+            assert (got.p, got.q, got.basis_style) == (p, q, style)
+            assert np.all(abs(got.entries - want.real) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    def test_hgpt_from_cgpt(self, rng, style):
+        for p, q in BLOCKS:
+            M = random_cgpt(rng, p, q)
+            A_p, A_q = basis_change(p, style).matrix, basis_change(q, style).matrix
+            want, scale = written_out(A_p.conj().T, M.entries, A_q)
+            N, residue = hgpt.hgpt_from_cgpt(M, style)
+            assert (N.p, N.q, N.basis_style) == (p, q, style)
+            assert np.all(abs(N.entries - want.real) <= 1e-14 * scale)
+            assert abs(residue - np.max(abs(want.imag))) <= 1e-14 * np.max(scale)
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    def test_cgpt_from_hgpt(self, rng, style):
+        for p, q in BLOCKS:
+            N = hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)), style)
+            A_p, A_q = basis_change(p, style).matrix, basis_change(q, style).matrix
+            want, scale = written_out(A_p, N.entries, A_q.conj().T)
+            M = hgpt.cgpt_from_hgpt(N)
+            assert (M.p, M.q) == (p, q)
+            assert np.all(abs(M.entries - want) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    def test_forward_voltage(self, rng, style):
+        blocks = [hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)), style)
+                  for p, q in BLOCKS]
+        for _ in range(3):
+            x_r, x_s = (rng.normal(size=3) * 2.5 for _ in range(2))
+            rr, rs = math.dist(x_r, (0, 0, 0)), math.dist(x_s, (0, 0, 0))
+            terms = []
+            for N in blocks:
+                Ir = evaluated_ivector(N.p, style, x_r)
+                Is = evaluated_ivector(N.q, style, x_s)
+                den = rr ** (2 * N.p + 1) * rs ** (2 * N.q + 1)
+                terms += [Ir[i] * N.entries[i, j] * Is[j] / den
+                          for i in range(2 * N.p + 1) for j in range(2 * N.q + 1)]
+            got = hgpt.forward_voltage(blocks, x_r, x_s)
+            assert abs(got - math.fsum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (1, 2)])
+    def test_a_computed_block_that_overflows_raises(self, p, q):
+        N = hgpt.HgptMatrix(p, q, np.full((2 * p + 1, 2 * q + 1), 1e308))
+        c = math.sqrt(0.5)
+        R = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])   # pi/4 about x3
+        with pytest.raises(ValueError, match="HGPT entries must be finite"):
+            hgpt.rotate(N, R)

@@ -779,7 +779,6 @@ class TestBatchedActions:
         assert (after.hits, after.misses) == (before.hits, before.misses + 2)
         assert after.currsize == before.currsize
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("degree", [1, 2, 6])
     def test_non_finite_element_is_not_in_the_span(self, degree, bad):
