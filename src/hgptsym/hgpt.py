@@ -162,7 +162,12 @@ def scale(N, s):
     """Scaling law: N_pq(sB) = s^(p+q+1) N_pq(B)."""
     if not (s > 0 and math.isfinite(s)):
         raise ValueError("scale factor must be a positive finite number")
-    return HgptMatrix(N.p, N.q, N.entries * s ** (N.p + N.q + 1), N.basis_style)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = N.entries * np.float64(s) ** (N.p + N.q + 1)
+    if not np.isfinite(e).all():
+        raise ValueError("scale factor %g overflows the block: s^%d N is not finite"
+                         % (s, N.p + N.q + 1))
+    return HgptMatrix(N.p, N.q, e, N.basis_style)
 
 
 def rotation_matrix(p, R, style="orthonormal"):

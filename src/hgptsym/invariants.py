@@ -56,8 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonics import monomials_of_degree, real_basis
-from .polyalg import (Polynomial, coefficient_matrix, integer_matrix, is_rational,
-                      rational_rref, zero_tolerance)
+from .polyalg import (RTOL, Polynomial, _snap, coefficient_matrix, integer_matrix,
+                      is_rational, rational_rref, zero_tolerance)
 
 _F = Fraction
 
@@ -119,6 +119,16 @@ class RepresentationSpace:
         """B as a read-only float array."""
         N, den = self.numerators
         return _read_only((N / den).astype(float))
+
+    @cached_property
+    def lead_rank(self):
+        """Read-only rank of each monomial in the order of
+        ``Polynomial.leading_exponent``: a polynomial's leading term is its
+        nonzero term of largest rank."""
+        order = sorted(range(len(self.monomials)), key=lambda k: self.monomials[k][::-1])
+        rank = np.empty(len(order), dtype=int)
+        rank[order] = np.arange(len(order))
+        return _read_only(rank)
 
     @cached_property
     def float_solver(self):
@@ -442,24 +452,49 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     m = _integer(M.trace(), "projector trace", trace_tol)
     if m == 0:
         return InvariantSubspace(space, group.name, 0, (), ())
-    # rows of M_pi applied to the basis, in monomial coordinates; exact rows
-    # are multiplied in Python ints over the denominators of the row and of B.
-    # B follows the field of M, not of the space: a float M on an integer-style
-    # space multiplies the float ``coefficients``, not object-dtype numerators
-    exact = M.dtype == object
-    B, b = space.numerators if exact else (space.coefficients, 1)
+    rows = M[_select_independent_rows(M, m)]
+    if M.dtype != object:
+        return InvariantSubspace(space, group.name, m, *_float_basis(space, rows))
+    # rows of M_pi applied to the basis, in monomial coordinates, multiplied
+    # in Python ints over the denominators of the row and of B
+    B, b = space.numerators
     polys = []
     coeff_rows = []
-    for crow in M[_select_independent_rows(M, m)]:
+    for crow in rows:
         N, den = integer_matrix(crow)
-        mono = np.array([_F(x, b * den) for x in N @ B], dtype=object) if exact else N @ B
-        tol = zero_tolerance([mono])
-        poly = Polynomial._make({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
-                                len(space.monomials[0]))
+        mono = [_F(x, b * den) for x in N @ B]
+        poly = Polynomial._make(dict(zip(space.monomials, mono)), len(space.monomials[0]))
         poly, scale = poly.canonicalized()
-        polys.append(poly.snapped())
+        polys.append(poly)
         coeff_rows.append(tuple((crow * scale).tolist()))
     return InvariantSubspace(space, group.name, m, tuple(polys), tuple(coeff_rows))
+
+
+def _float_basis(space, rows):
+    """Canonical polynomials of the float rows of M_pi applied to the basis,
+    and the rows scaled alike, on the whole block: P = rows B (a row at a
+    time; one matrix product would round differently), each row's terms
+    above ``zero_tolerance`` of its own entries, scaled by 1 / its leading
+    term (``canonicalized``: 1 / |lead| with the lead's sign), and snapped
+    to small rationals once per distinct value (``snapped``).  B is the
+    float ``coefficients``: an integer-style space has object-dtype
+    numerators."""
+    P = np.array([row @ space.coefficients for row in rows])
+    A = abs(P)
+    keep = A > RTOL * np.fmax(1.0, A.max(axis=1, keepdims=True))
+    lead = np.where(keep, P, 1.0)[np.arange(len(P)),        # 1 for a row with no terms
+                                  np.where(keep, space.lead_rank, -1).argmax(axis=1)]
+    scale = 1.0 / lead
+    rk, ck = np.nonzero(keep)
+    snapped = {}
+    terms = [{} for _ in rows]
+    for r, c, x in zip(rk.tolist(), ck.tolist(), (P * scale[:, None])[rk, ck].tolist()):
+        if x not in snapped:
+            snapped[x] = _snap(x)
+        terms[r][space.monomials[c]] = snapped[x]
+    nvars = len(space.monomials[0])
+    return (tuple(Polynomial._make(t, nvars) for t in terms),
+            tuple(map(tuple, (rows * scale[:, None]).tolist())))
 
 
 def verify_fixed(inv, group, nsamples=20, tol=PROJECTOR_TOL, seed=0):
@@ -654,19 +689,19 @@ def coefficient_pattern(inv):
         return CoefficientPattern(space.p, space.q, space.style, inv.group_name,
                                   pairs, (), tuple(pairs), {}, ())
     rref, pivots = rational_rref(np.array(inv.coefficient_rows))
-    rref = rref[:len(pivots)].tolist()
-    tol = zero_tolerance(rref)
-    independent = tuple(pairs[c] for c in pivots)
+    rref = rref[:len(pivots)]
+    # one mask of the relation terms, read a column at a time
+    hits = (abs(rref) > zero_tolerance(rref)).T.tolist()
+    pivot_columns = set(pivots)
     zero = []
     relations = {}
-    for c, pair in enumerate(pairs):
-        if c in pivots:
+    for c, (pair, hit, column) in enumerate(zip(pairs, hits, rref.T.tolist())):
+        if c in pivot_columns:
             continue
-        terms = [(pairs[pc], row[c]) for pc, row in zip(pivots, rref) if abs(row[c]) > tol]
-        if terms:
-            relations[pair] = terms
+        if any(hit):
+            relations[pair] = [(pairs[pc], v) for pc, h, v in zip(pivots, hit, column) if h]
         else:
             zero.append(pair)
-    vectors = tuple(tuple(float(v) for v in r) for r in rref)
-    return CoefficientPattern(space.p, space.q, space.style, inv.group_name,
-                              pairs, independent, tuple(zero), relations, vectors)
+    return CoefficientPattern(space.p, space.q, space.style, inv.group_name, pairs,
+                              tuple(pairs[c] for c in pivots), tuple(zero), relations,
+                              tuple(map(tuple, rref.astype(float).tolist())))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -56,6 +57,23 @@ def _limit_denominator(x, max_den):
     if abs(p1 * d0 - n0 * q1) * q2 <= abs(p2 * d0 - n0 * q2) * q1:
         return p1, q1
     return p2, q2
+
+
+@cache
+def _factors_text(e):
+    """The monomial x^e as ``to_text`` writes it after its coefficient,
+    e.g. "*x1^2*y3" for (2, 0, 0, 0, 0, 1)."""
+    names = VAR_NAMES_3 if len(e) == 3 else VAR_NAMES_6
+    return "".join("*" + name if k == 1 else "*%s^%d" % (name, k)
+                   for name, k in zip(names, e) if k)
+
+
+def _snap(c, tol=1e-9, max_den=1000):
+    """The real number c as the nearest rational with denominator at most
+    ``max_den`` when that lies within ``tol`` of it, else c itself."""
+    x = float(c)
+    p, q = _limit_denominator(x, max_den)
+    return Fraction(p, q) if abs(p / q - x) <= tol else c
 
 
 class Polynomial:
@@ -301,40 +319,25 @@ class Polynomial:
     def snapped(self, tol=1e-9, max_den=1000):
         """Float coefficients replaced by nearby small rationals when one
         exists within ``tol``; exact polynomials are returned unchanged."""
-        if self.is_exact():
+        if self.is_exact() or any(isinstance(c, complex) for c in self.terms.values()):
             return self
-        terms = {}
-        for e, c in self.terms.items():
-            if isinstance(c, complex):
-                return self
-            x = float(c)
-            p, q = _limit_denominator(x, max_den)
-            terms[e] = Fraction(p, q) if abs(p / q - x) <= tol else c
-        return Polynomial._make(terms, self.nvars)
+        return Polynomial._make({e: _snap(c, tol, max_den)
+                                 for e, c in self.terms.items()}, self.nvars)
 
     # ---- text / JSON form ---------------------------------------------------
 
     def to_text(self):
         if not self.terms:
             return "0"
-        names = VAR_NAMES_3 if self.nvars == 3 else VAR_NAMES_6
         parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in sorted(self.terms.items(), reverse=True):
             if isinstance(c, Fraction):
-                cs = str(c.numerator) if c.denominator == 1 else "%d/%d" % (
-                    c.numerator, c.denominator)
+                cs = str(c)                     # "n" or "n/d"
             elif isinstance(c, complex):
                 cs = repr(c)
             else:
                 cs = "%.12g" % float(c)
-            factors = [cs]
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append("%s^%d" % (name, k))
-            parts.append("*".join(factors))
+            parts.append(cs + _factors_text(e))
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json_terms(self):
@@ -462,7 +465,9 @@ def rational_rref(rows):
     All-float input is reduced in float64, anything else in object dtype
     with integers as ``Fraction``s and floats left as floats.  The pivot of
     a column is its first remaining entry whose magnitude exceeds
-    ``zero_tolerance`` (0 for exact input).
+    ``zero_tolerance`` (0 for exact input).  Rows change only at a pivot, so
+    in float64 the next pivot column is found by one test of the whole
+    remaining block; object input is tested a column at a time.
     """
     floats = isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
     A = rows.astype(float) if floats else np.frompyfunc(_coerce, 1, 1)(np.array(rows, object))
@@ -471,23 +476,34 @@ def rational_rref(rows):
     A = A.reshape(len(A), -1 if A.size else 0)
     tol = zero_tolerance(A)
     nr, nc = A.shape
+    block = A.dtype == float
     pivots = []
-    r = 0
-    for c in range(nc):
-        hits = np.abs(A[r:, c]) > tol
-        k = int(hits.argmax())
-        if not hits[k]:
-            continue
+    r = c = 0
+    while r < nr and c < nc:
+        if block:           # the first hit of the remaining block, column by column
+            hits = np.abs(A[r:, c:]) > tol
+            j, k = divmod(int(hits.T.argmax()), nr - r)
+            if not hits[k, j]:
+                break
+            c += j
+        else:
+            hits = np.abs(A[r:, c]) > tol
+            k = int(hits.argmax())
+            if not hits[k]:
+                c += 1
+                continue
         if k:
             A[[r, r + k]] = A[[r + k, r]]
         A[r] /= A[r, c]
         others = A[:, c] != 0
         others[r] = False
-        A[others] -= A[others, c, None] * A[r]
+        if block:           # the same products and differences, without a gather
+            np.subtract(A, A[:, c, None] * A[r], out=A, where=others[:, None])
+        else:
+            A[others] -= A[others, c, None] * A[r]
         pivots.append(c)
         r += 1
-        if r == nr:
-            break
+        c += 1
     return A, pivots
 
 

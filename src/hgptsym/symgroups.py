@@ -364,6 +364,7 @@ def build_group(name):
 _BLOCK = 512    # products matched at once: each (512, 9) temporary takes 37 kB
 
 
+@np.errstate(invalid="ignore")      # a nan or inf element fails by its residuals
 def verify_group(g, tol=MATCH_TOL):
     """Check orthogonality, identity, closure and inverses; report residuals.
 

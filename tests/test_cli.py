@@ -160,6 +160,21 @@ class TestRegenerateTables:
         assert digest == "78a1a4f43d7cd9237f55e82c044e4ecdbb1c57a299008f46616501f7a53240ea"
 
 
+def test_float_invariants_documents_pinned(capsys):
+    """The float path's documents, byte for byte: sha256 of the JSON
+    `invariants` documents for C3, D6 and I over 1 <= p <= q <= 4, in that
+    order, each as the CLI prints it."""
+    h = hashlib.sha256()
+    for g in ("C3", "D6", "I"):
+        for p in range(1, 5):
+            for q in range(p, 5):
+                code, out, err = run(capsys, ["invariants", "--group", g, "--p", str(p),
+                                              "--q", str(q), "--format", "json"])
+                assert code == 0, err
+                h.update(out.encode())
+    assert h.hexdigest() == "0d9164935acb6a8e9aff0fbb8eda0646ac017646ca465498326fc25adb9b8898"
+
+
 class TestErrors:
     def test_unknown_group(self, capsys):
         code, _, err = run(capsys, ["group", "--name", "X9"])

@@ -142,6 +142,15 @@ class TestScale:
             with pytest.raises(ValueError, match="scale factor must be a positive finite number"):
                 hgpt.scale(N, s)
 
+    @pytest.mark.parametrize("s, entries", [(1e200, np.eye(3)), (1e103, np.eye(3)),
+                                            (1e5, 1e300 * np.eye(3))])
+    def test_an_overflowing_factor_is_a_value_error(self, s, entries):
+        N = hgpt.HgptMatrix(1, 1, entries)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scale factor .* overflows the block"):
+                hgpt.scale(N, s)
+
 
 class TestRotate:
     def test_identity(self, rng):

@@ -286,6 +286,57 @@ class TestInvariantSubspace:
             assert all(c.denominator == 1 for c in b.terms.values())
 
 
+def _reference_float_basis(space, rows):
+    """The per-row chain the block path replaced: row @ B, the row's own zero
+    tolerance, ``canonicalized`` and ``snapped`` on each polynomial."""
+    polys, coeff_rows = [], []
+    for crow in rows:
+        mono = crow @ space.coefficients
+        tol = 1e-9 * max(1.0, np.abs(mono).max())
+        poly = Polynomial._make({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
+                                len(space.monomials[0]))
+        poly, scale = poly.canonicalized()
+        polys.append(poly.snapped())
+        coeff_rows.append(tuple((crow * scale).tolist()))
+    return polys, coeff_rows
+
+
+def _coefficient_bits(poly):
+    return {e: (c if type(c) is F else float(c).hex()) for e, c in poly.terms.items()}
+
+
+class TestFloatBasisBlock:
+    def assert_matches_reference(self, space, rows):
+        polys, coeff_rows = inv._float_basis(space, rows)
+        want_polys, want_rows = _reference_float_basis(space, rows)
+        assert [_coefficient_bits(b) for b in polys] == [_coefficient_bits(b) for b in want_polys]
+        assert [[v.hex() for v in r] for r in coeff_rows] == \
+            [[v.hex() for v in r] for r in want_rows]
+
+    @pytest.mark.parametrize("group,p,q,style", [
+        ("C3", 2, 2, "integer"), ("D5", 1, 3, "orthonormal"), ("I", 3, 3, "integer"),
+        ("C6", 2, 3, "orthonormal"), ("I", 6, None, "integer"), ("C5", 4, None, "orthonormal")])
+    def test_group_rows_match_the_per_row_chain(self, group, p, q, style):
+        space = (inv.harmonic_space(p, style) if q is None
+                 else inv.symmetric_product_space(p, q, style))
+        M = inv.averaging_projector(space, sg.build_group(group))
+        rows = M[inv._select_independent_rows(M, round(M.trace()))]
+        self.assert_matches_reference(space, rows)
+
+    def test_negative_leads_and_entries_near_the_tolerance(self, rng):
+        # on degree 1, P = rows @ B only permutes the entries, so each row's
+        # tolerance 1e-9 max(1, max|row|) is known before the small entries go in
+        space = inv.harmonic_space(1)
+        for _ in range(50):
+            rows = rng.normal(scale=rng.choice([0.5, 5.0]), size=(4, 3))
+            tol = 1e-9 * np.maximum(1.0, np.abs(rows).max(axis=1))
+            small = rng.random(rows.shape) < 0.4
+            small[np.arange(4), np.abs(rows).argmax(axis=1)] = False
+            factor = rng.choice([0.5, 0.999, 1.001, 2.0], size=rows.shape)
+            rows[small] = (rng.choice([-1.0, 1.0], size=rows.shape) * factor * tol[:, None])[small]
+            self.assert_matches_reference(space, rows)
+
+
 class TestIntersection:
     def test_nullspace_threshold(self):
         C = np.array([[1.0, 0.0], [0.0, 1e-14]])

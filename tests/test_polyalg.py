@@ -305,6 +305,25 @@ class TestRrefOnArrays:
                 assert [[_entry_bits(v) for v in row] for row in got.tolist()] == \
                     [[_entry_bits(v) for v in row] for row in want]
 
+    def test_block_pivot_search_matches_the_column_walk(self):
+        # float input finds its next pivot column by one test of the remaining
+        # block; the column walk of the reference must give the same bits, on
+        # rank-deficient matrices with skipped columns and entries near tol
+        rng = np.random.default_rng(16)
+        for _ in range(150):
+            nr, nc = (int(v) for v in rng.integers(2, 20, size=2))
+            rank = int(rng.integers(1, min(nr, nc) + 1))
+            A = rng.normal(size=(nr, rank)) @ rng.normal(size=(rank, nc))
+            A[:, rng.random(nc) < 0.3] = 0.0
+            tol = 1e-9 * max(1.0, np.abs(A).max())
+            near = rng.random(A.shape) < rng.choice([0.0, 0.1, 0.5])
+            A[near] = rng.choice([-1.0, 1.0], near.sum()) * tol * rng.uniform(0.5, 2.0, near.sum())
+            want, want_pivots = _reference_rref(A.tolist())
+            got, pivots = rational_rref(A)
+            assert pivots == want_pivots
+            assert [[v.hex() for v in row] for row in got.tolist()] == \
+                [[v.hex() for v in row] for row in want]
+
     def test_float_input_reduces_in_float64_and_is_not_modified(self):
         M = np.array([[2.0, 4.0], [1.0, 3.0]])
         rref, pivots = rational_rref(M)

@@ -1,6 +1,7 @@
 """Point-group construction, closure, and the three group types."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -208,24 +209,26 @@ class TestVerification:
         assert report.failures == ["identity missing",
                                    "closure/inverse residual 2 exceeds 1e-09"]
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("k", [0, 3])
     def test_a_non_finite_element_is_named_and_fails(self, k, bad):
         E = list(sg.build_group("C4").elements)
         E[k] = np.full((3, 3), bad)
-        report = sg.verify_group(sg.PointGroup("C4", tuple(E), ()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the report says it all, silently
+            report = sg.verify_group(sg.PointGroup("C4", tuple(E), ()))
         orth, close = report.max_orthogonality_residual, report.max_closure_residual
         assert not report.passed and not np.isfinite(orth) and not np.isfinite(close)
         assert report.failures == (["element %d not orthogonal (residual %.3g)" % (k, orth)]
                                    + ["identity missing"] * (k == 0)
                                    + ["closure/inverse residual %.3g exceeds 1e-09" % close])
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_one_infinite_entry_is_named(self):
         E = [np.array(M) for M in sg.build_group("D4").elements]
         E[5][1, 2] = np.inf
-        report = sg.verify_group(sg.PointGroup("D4", tuple(E), ()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = sg.verify_group(sg.PointGroup("D4", tuple(E), ()))
         assert report.failures[0].startswith("element 5 not orthogonal")
         assert "identity missing" not in report.failures
         assert report.failures[-1].startswith("closure/inverse residual")
