@@ -214,10 +214,20 @@ def cmd_molien(args):
 
 
 def _load_blocks(path):
+    """The blocks of a JSON file: a list of block objects, or an object whose
+    "blocks" is one.  A malformed block raises ``ValueError`` naming its index."""
     with open(path) as f:
         doc = json.load(f)
-    items = doc["blocks"] if isinstance(doc, dict) else doc
-    return [hgpt.HgptMatrix.from_json_dict(d) for d in items]
+    items = doc.get("blocks") if isinstance(doc, dict) else doc
+    if not isinstance(items, list):
+        raise ValueError("%s: the blocks must be a JSON list of objects" % path)
+    blocks = []
+    for k, d in enumerate(items):
+        try:
+            blocks.append(hgpt.HgptMatrix.from_json_dict(d))
+        except ValueError as exc:
+            raise ValueError("%s: block %d: %s" % (path, k, exc)) from None
+    return blocks
 
 
 def _xyz(text):

@@ -66,19 +66,28 @@ class HgptMatrix:
             raise ValueError("HGPT entries must be finite")
         object.__setattr__(self, "entries", e)
 
-    def coefficient(self, i, j):
-        """M^H_{q j p i} addressed by orders i in -p..p, j in -q..q."""
-        return self.entries[i + self.p, j + self.q]
-
     def to_json_dict(self):
         return {"p": self.p, "q": self.q, "basis_style": self.basis_style,
                 "entries": [float(v) for v in self.entries.ravel()]}
 
     @staticmethod
     def from_json_dict(d):
-        p, q = int(d["p"]), int(d["q"])
-        e = np.array(d["entries"], dtype=float).reshape(2 * p + 1, 2 * q + 1)
-        return HgptMatrix(p, q, e, d.get("basis_style", "orthonormal"))
+        """The block of a JSON object: p and q must be JSON integers >= 0, not
+        floats or booleans; a malformed block raises ``ValueError``."""
+        if not isinstance(d, dict):
+            raise ValueError("a block must be a JSON object, got %s" % type(d).__name__)
+        for key in ("p", "q", "entries"):
+            if key not in d:
+                raise ValueError("missing key %r" % key)
+            if key != "entries" and (type(d[key]) is not int or d[key] < 0):
+                raise ValueError("%s must be an integer >= 0, got %r" % (key, d[key]))
+        try:
+            e = np.array(d["entries"], dtype=float)
+        except TypeError as exc:
+            raise ValueError("entries must be numbers: %s" % exc) from None
+        p, q = d["p"], d["q"]
+        return HgptMatrix(p, q, e.reshape(2 * p + 1, 2 * q + 1),
+                          d.get("basis_style", "orthonormal"))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ dtype.  The projector is ``Fraction`` when the space basis and the group
 are rational (C2, C4, D4, T, O, ...), float otherwise (C3, C5, C6,
 icosahedral, ...).  Every later step follows the field of the projector:
 exact zero tests on Fractions, one relative tolerance on floats
-(``polyalg.zero_tolerance``).
+(``polyalg.zero_tolerance``), and one canonical-basis step for both
+(``_canonical_basis``): content 1 in integers, or leading coefficient 1.
 
 Group actions are stacked.  Each space holds a left inverse L of a fixed
 matrix A, its transposed coefficient matrix B^T, so D(R) = (L F(R))^T for
@@ -453,45 +454,40 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     if m == 0:
         return InvariantSubspace(space, group.name, 0, (), ())
     rows = M[_select_independent_rows(M, m)]
-    if M.dtype != object:
-        return InvariantSubspace(space, group.name, m, *_float_basis(space, rows))
-    # rows of M_pi applied to the basis, in monomial coordinates, multiplied
-    # in Python ints over the denominators of the row and of B
-    B, b = space.numerators
-    polys = []
-    coeff_rows = []
-    for crow in rows:
-        N, den = integer_matrix(crow)
-        mono = [_F(x, b * den) for x in N @ B]
-        poly = Polynomial._make(dict(zip(space.monomials, mono)), len(space.monomials[0]))
-        poly, scale = poly.canonicalized()
-        polys.append(poly)
-        coeff_rows.append(tuple((crow * scale).tolist()))
-    return InvariantSubspace(space, group.name, m, tuple(polys), tuple(coeff_rows))
+    return InvariantSubspace(space, group.name, m, *_canonical_basis(space, rows))
 
 
-def _float_basis(space, rows):
-    """Canonical polynomials of the float rows of M_pi applied to the basis,
-    and the rows scaled alike, on the whole block: P = rows B (a row at a
-    time; one matrix product would round differently), each row's terms
-    above ``zero_tolerance`` of its own entries, scaled by 1 / its leading
-    term (``canonicalized``: 1 / |lead| with the lead's sign), and snapped
-    to small rationals once per distinct value (``snapped``).  B is the
-    float ``coefficients``: an integer-style space has object-dtype
-    numerators."""
-    P = np.array([row @ space.coefficients for row in rows])
+def _canonical_basis(space, rows):
+    """Canonical polynomials of the rows of M_pi applied to the basis, and the
+    rows scaled alike, in the field of the rows: P = rows B a row at a time
+    (one float matrix product rounds differently), in Python ints over one
+    denominator when exact.  A row keeps its nonzero terms (in floats, those
+    above ``RTOL`` of its largest) and leads with the kept one of largest
+    ``lead_rank``.  It is scaled by +-1/gcd to content 1 with a positive lead
+    when exact, else by 1/lead and snapped once per distinct value (``_snap``)."""
+    R, den = integer_matrix(rows)
+    exact = R.dtype == object
+    B, b = space.numerators if exact else (space.coefficients, 1)
+    P = np.array([row @ B for row in R])
     A = abs(P)
-    keep = A > RTOL * np.fmax(1.0, A.max(axis=1, keepdims=True))
-    lead = np.where(keep, P, 1.0)[np.arange(len(P)),        # 1 for a row with no terms
-                                  np.where(keep, space.lead_rank, -1).argmax(axis=1)]
-    scale = 1.0 / lead
+    keep = A > (0 if exact else RTOL * np.fmax(1.0, A.max(axis=1, keepdims=True)))
+    lead = np.where(keep, P, 1)[np.arange(len(P)),          # 1 for a row with no terms
+                                np.where(keep, space.lead_rank, -1).argmax(axis=1)]
+    if exact:
+        unit = np.array([(math.gcd(*r) or 1) * (1 if x > 0 else -1)
+                         for r, x in zip(P.tolist(), lead.tolist())], dtype=object)
+        P //= unit[:, None]
+        scale, to_field = np.array([_F(b * den, u) for u in unit.tolist()]), _F
+    else:
+        scale, to_field = 1.0 / lead, _snap
+        P = P * scale[:, None]
     rk, ck = np.nonzero(keep)
-    snapped = {}
+    converted = {}
     terms = [{} for _ in rows]
-    for r, c, x in zip(rk.tolist(), ck.tolist(), (P * scale[:, None])[rk, ck].tolist()):
-        if x not in snapped:
-            snapped[x] = _snap(x)
-        terms[r][space.monomials[c]] = snapped[x]
+    for r, c, x in zip(rk.tolist(), ck.tolist(), P[rk, ck].tolist()):
+        if x not in converted:
+            converted[x] = to_field(x)
+        terms[r][space.monomials[c]] = converted[x]
     nvars = len(space.monomials[0])
     return (tuple(Polynomial._make(t, nvars) for t in terms),
             tuple(map(tuple, (rows * scale[:, None]).tolist())))

@@ -2,9 +2,9 @@
 
 Polynomials live in either 3 variables (x1, x2, x3) or 6 variables
 (x1, x2, x3, y1, y2, y3).  Coefficients are ``Fraction`` whenever the
-inputs are exact; mixing in floats (or complex numbers) degrades
-gracefully to inexact coefficients.  All values are immutable in use:
-every operation returns a new polynomial.
+inputs are exact; mixing in floats degrades gracefully to float
+coefficients.  All values are immutable in use: every operation returns a
+new polynomial.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class Polynomial:
     # ---- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
+        if isinstance(other, (int, float, Fraction)):
             other = Polynomial.constant(other, self.nvars)
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch")
@@ -184,7 +184,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, Fraction)):
+        if isinstance(other, (int, float, Fraction)):
             other = _coerce(other)
             return Polynomial._make({e: c * other for e, c in self.terms.items()}, self.nvars)
         if self.nvars != other.nvars:
@@ -292,75 +292,40 @@ class Polynomial:
         For exact polynomials the coefficients are scaled so that the gcd of
         integer coefficients (after clearing denominators) is 1 and the
         lexicographically-leading coefficient is positive.  Inexact
-        polynomials are scaled by the inverse of the leading coefficient's
-        magnitude with the same sign fix.  ``applied_scale`` is the factor
+        polynomials are scaled by the inverse of the leading coefficient,
+        which gives it the same sign fix.  ``applied_scale`` is the factor
         the polynomial was multiplied by.
         """
         if not self.terms:
             return self, Fraction(1)
-        if self.is_exact():
-            denlcm = 1
-            for c in self.terms.values():
-                denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-            nums = [abs(int(c * denlcm)) for c in self.terms.values()]
-            g = 0
-            for n in nums:
-                g = math.gcd(g, n)
-            scale = Fraction(denlcm, g)
-            lead = self.terms[self.leading_exponent()]
-            if lead < 0:
-                scale = -scale
-            return self * scale, scale
         lead = self.terms[self.leading_exponent()]
-        mag = abs(lead)
-        scale = (1.0 / mag) if lead.real >= 0 or isinstance(lead, complex) else (-1.0 / mag)
+        if self.is_exact():
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            scale = Fraction(den, math.gcd(*(c.numerator * (den // c.denominator)
+                                             for c in self.terms.values())))
+            scale = scale if lead > 0 else -scale
+        else:
+            scale = 1.0 / lead
         return self * scale, scale
 
     def snapped(self, tol=1e-9, max_den=1000):
         """Float coefficients replaced by nearby small rationals when one
         exists within ``tol``; exact polynomials are returned unchanged."""
-        if self.is_exact() or any(isinstance(c, complex) for c in self.terms.values()):
+        if self.is_exact():
             return self
         return Polynomial._make({e: _snap(c, tol, max_den)
                                  for e, c in self.terms.items()}, self.nvars)
 
-    # ---- text / JSON form ---------------------------------------------------
+    # ---- text form ---------------------------------------------------------
 
     def to_text(self):
         if not self.terms:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items(), reverse=True):
-            if isinstance(c, Fraction):
-                cs = str(c)                     # "n" or "n/d"
-            elif isinstance(c, complex):
-                cs = repr(c)
-            else:
-                cs = "%.12g" % float(c)
+            cs = str(c) if isinstance(c, Fraction) else "%.12g" % float(c)   # "n" or "n/d"
             parts.append(cs + _factors_text(e))
         return " + ".join(parts).replace("+ -", "- ")
-
-    def to_json_terms(self):
-        """JSON-friendly list of {exponents, num, den} dicts.
-
-        Lossless only: a coefficient that is not a ``Fraction`` raises
-        ``ValueError`` rather than being rounded to a nearby rational.
-        """
-        out = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if not isinstance(c, Fraction):
-                raise ValueError("cannot write inexact coefficient %r as num/den" % (c,))
-            out.append({"exponents": list(e), "num": c.numerator, "den": c.denominator})
-        return out
-
-    @classmethod
-    def from_json_terms(cls, items, nvars):
-        terms = {}
-        for it in items:
-            e = tuple(it["exponents"])
-            terms[e] = terms.get(e, 0) + Fraction(it["num"], it["den"])
-        return cls(terms, nvars)
 
     def __repr__(self):
         return "Polynomial(%s)" % self.to_text()

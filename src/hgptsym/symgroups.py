@@ -37,37 +37,19 @@ J_MATRIX = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 
 @dataclass(frozen=True, eq=False)
 class PointGroup:
-    """A finite group of 3x3 orthogonal matrices.
-
-    Two groups are equal when they have the same name, the same
-    rationality and bit-identical element stacks; the hash is computed once,
-    so a group can key a dict.
-    """
+    """A finite group of 3x3 orthogonal matrices.  Equality is identity."""
 
     name: str
     elements: tuple            # tuple of read-only 3x3 float arrays, rows of ``stack``
     generators: tuple          # tuple of read-only 3x3 float arrays
     exact_elements: tuple | None = None  # matching tuple of Fraction matrices
     stack: np.ndarray = field(init=False, repr=False)  # (order, 3, 3)
-    _key: tuple = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         # read-only float copies: a memoised group is shared by every caller
         object.__setattr__(self, "stack", _readonly(self.elements))
         object.__setattr__(self, "elements", tuple(self.stack))
         object.__setattr__(self, "generators", tuple(_readonly(self.generators)))
-        key = (self.name, self.is_rational, self.stack.tobytes())
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __eq__(self, other):
-        if not isinstance(other, PointGroup):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def order(self):
@@ -218,8 +200,9 @@ def _contains(elements, M, tol=MATCH_TOL):
     return bool(_Keyed(elements).nearest(M, tol)[0] < tol)
 
 
-def _group(name, generators, expected_order=None):
-    """Closure of the generators in breadth-first rounds, in their own field.
+def group_from_generators(name, generators, expected_order=None):
+    """Closure of explicit generator matrices in breadth-first rounds, in
+    their own field: rational if every entry is an int or a Fraction.
 
     A round multiplies every generator by the whole frontier (the elements
     the last round found) in one stacked float product, and matches the
@@ -227,12 +210,12 @@ def _group(name, generators, expected_order=None):
     and against the earlier products of the round.  A product is new when
     neither holds one within ``MATCH_TOL``, so the first of equal products
     is kept and the elements come in the order a one-at-a-time search
-    appends them.  If every generator entry is
-    an int or a Fraction (``polyalg.is_rational``), only the new elements
-    are also formed exactly, as Python-int matrices over one gcd-reduced
-    denominator: their floats are the exact values rounded, and the
-    ``exact_elements`` Fractions are built once, at the end.  Otherwise the
-    float products are the elements.
+    appends them.  For rational generators (``polyalg.is_rational``), only
+    the new elements are also formed exactly, as Python-int matrices over
+    one gcd-reduced denominator: their floats are the exact values rounded,
+    and the ``exact_elements`` Fractions are built once, at the end.
+    Otherwise the float products are the elements.  A closure whose order
+    is not ``expected_order``, when given, raises.
     """
     gens = [np.array(G, dtype=object).reshape(3, 3) for G in generators]
     exact = all(is_rational(x) for G in gens for x in G.flat)
@@ -269,11 +252,6 @@ def _group(name, generators, expected_order=None):
     return g
 
 
-def group_from_generators(name, generators):
-    """Closure of explicit generator matrices, rational if their entries are."""
-    return _group(name, generators)
-
-
 # ---------------------------------------------------------------------------
 # the built-in families
 # ---------------------------------------------------------------------------
@@ -292,7 +270,7 @@ def _base_group(family, n):
         raise ValueError("%s order must be >= 1"
                          % ("cyclic" if family == "C" else "dihedral"))
     name = family + str(n) if family in ("C", "D") else family
-    return _group(name, _GENERATORS[family](n), EXPECTED_ORDERS[family](n))
+    return group_from_generators(name, _GENERATORS[family](n), EXPECTED_ORDERS[family](n))
 
 
 def _negated(E):

@@ -159,6 +159,13 @@ class TestRegenerateTables:
         digest = hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
         assert digest == "78a1a4f43d7cd9237f55e82c044e4ecdbb1c57a299008f46616501f7a53240ea"
 
+    def test_a_wrong_golden_dimension_fails_and_names_the_cell(self, capsys, tmp_path,
+                                                              monkeypatch):
+        monkeypatch.setattr(cli, "GOLDEN_DIMS", {"C4": {(1, 2): 4}})
+        code, out, err = run(capsys, ["regenerate-tables", "--out", str(tmp_path / "t")])
+        assert code == 1 and out == ""
+        assert err == "golden-dimension mismatch: C4 (1,2): computed 3, table says 4\n"
+
 
 def test_float_invariants_documents_pinned(capsys):
     """The float path's documents, byte for byte: sha256 of the JSON
@@ -255,6 +262,27 @@ class TestErrors:
                                       "--source", "0,0,2", "--receiver", "0,0,2"])
         assert code == 1 and out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("doc,message", [
+        ('{"blocks": [{"p": 1.5, "q": 1, "entries": [2, 0, 0, 0, 2, 0, 0, 0, 7]}]}',
+         "block 0: p must be an integer >= 0, got 1.5"),
+        ('{"blocks": [{"p": 0, "q": 0, "entries": [1]}, {"p": true, "q": 0, "entries": [1]}]}',
+         "block 1: p must be an integer >= 0, got True"),
+        ('{"blocks": [{"p": 1, "entries": [2, 0, 0, 0, 2, 0, 0, 0, 7]}]}',
+         "block 0: missing key 'q'"),
+        ('[{"p": 0, "q": 0}]', "block 0: missing key 'entries'"),
+        ('[{"p": 0, "q": 0, "entries": [1]}, 3]', "block 1: a block must be a JSON object"),
+        ('{"blocks": 5}', "the blocks must be a JSON list of objects"),
+        ('{"block": []}', "the blocks must be a JSON list of objects"),
+    ])
+    def test_malformed_block_files_fail_loudly(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        for argv in (["forward", "--source", "0,0,2", "--receiver", "0,0,2"],
+                     ["pattern-residual", "--group", "C4"]):
+            code, out, err = run(capsys, argv + ["--blocks", str(path)])
+            assert code == 1 and out == ""
+            assert err.startswith("error: %s: " % path) and message in err
 
     def test_non_finite_point(self, capsys, tmp_path):
         path = tmp_path / "one.json"

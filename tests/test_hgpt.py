@@ -431,6 +431,39 @@ class TestJsonSchema:
         assert M.p == 1 and M.q == 2 and M.basis_style == "integer"
         assert np.max(np.abs(M.entries - N.entries)) == 0
 
+    @pytest.mark.parametrize("key,value", [("p", 1.5), ("p", 1.0), ("q", True),
+                                           ("p", -1), ("q", "1"), ("p", None)])
+    def test_orders_must_be_json_integers(self, key, value):
+        d = {"p": 1, "q": 1, "entries": [0.0] * 9, key: value}
+        with pytest.raises(ValueError, match="%s must be an integer >= 0, got %r"
+                           % (key, value)):
+            hgpt.HgptMatrix.from_json_dict(d)
+
+    @pytest.mark.parametrize("key", ["p", "q", "entries"])
+    def test_a_missing_key_is_named(self, key):
+        d = {"p": 1, "q": 1, "entries": [0.0] * 9}
+        del d[key]
+        with pytest.raises(ValueError, match="missing key '%s'" % key):
+            hgpt.HgptMatrix.from_json_dict(d)
+
+    @pytest.mark.parametrize("d", [5, [1, 1], None])
+    def test_a_block_must_be_an_object(self, d):
+        with pytest.raises(ValueError, match="a block must be a JSON object"):
+            hgpt.HgptMatrix.from_json_dict(d)
+
+    def test_entries_must_be_numbers(self):
+        with pytest.raises(ValueError, match="entries must be numbers"):
+            hgpt.HgptMatrix.from_json_dict({"p": 0, "q": 0, "entries": {"a": 1}})
+
+
+class TestShapes:
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (9,), (3, 3, 1)])
+    def test_a_wrong_shape_is_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(2p\+1\) x \(2q\+1\)"):
+            hgpt.HgptMatrix(1, 1, np.zeros(shape))
+        with pytest.raises(ValueError, match=r"\(2p\+1\) x \(2q\+1\)"):
+            hgpt.CgptMatrix(1, 1, np.zeros(shape, dtype=complex))
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

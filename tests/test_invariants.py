@@ -307,7 +307,7 @@ def _coefficient_bits(poly):
 
 class TestFloatBasisBlock:
     def assert_matches_reference(self, space, rows):
-        polys, coeff_rows = inv._float_basis(space, rows)
+        polys, coeff_rows = inv._canonical_basis(space, rows)
         want_polys, want_rows = _reference_float_basis(space, rows)
         assert [_coefficient_bits(b) for b in polys] == [_coefficient_bits(b) for b in want_polys]
         assert [[v.hex() for v in r] for r in coeff_rows] == \
@@ -335,6 +335,58 @@ class TestFloatBasisBlock:
             factor = rng.choice([0.5, 0.999, 1.001, 2.0], size=rows.shape)
             rows[small] = (rng.choice([-1.0, 1.0], size=rows.shape) * factor * tol[:, None])[small]
             self.assert_matches_reference(space, rows)
+
+
+def _reference_exact_basis(space, rows):
+    """The per-row loop the exact block replaced: each row of Fractions
+    applied to the basis in Fractions, then ``canonicalized``."""
+    B, b = space.numerators
+    polys, coeff_rows = [], []
+    for crow in rows:
+        poly = Polynomial(dict(zip(space.monomials, crow @ B / b)), len(space.monomials[0]))
+        poly, scale = poly.canonicalized()
+        polys.append(poly)
+        coeff_rows.append(tuple((crow * scale).tolist()))
+    return polys, coeff_rows
+
+
+class TestExactBasisBlock:
+    def assert_matches_reference(self, space, rows):
+        polys, coeff_rows = inv._canonical_basis(space, rows)
+        want_polys, want_rows = _reference_exact_basis(space, rows)
+        assert [b.terms for b in polys] == [b.terms for b in want_polys]
+        assert list(coeff_rows) == want_rows
+        assert all(type(c) is F for b in polys for c in b.terms.values())
+        assert all(type(c) is F for r in coeff_rows for c in r)
+
+    @pytest.mark.parametrize("group", ["C4", "D4", "T", "O", "Oi", "type3:O/T"])
+    def test_group_rows_match_the_per_row_loop(self, group):
+        g = sg.build_group(group)
+        spaces = [inv.symmetric_product_space(p, q) for q in range(1, 4) for p in range(1, q + 1)]
+        spaces += [inv.harmonic_space(m) for m in range(7)]
+        for space in spaces:
+            M = np.asarray(inv.averaging_projector(space, g))
+            assert M.dtype == object
+            if M.trace():
+                self.assert_matches_reference(space, M[inv._select_independent_rows(M, M.trace())])
+
+    def test_negative_leads_and_shared_factors(self, rng):
+        # rows with common factors, zeros and leads of both signs, on the
+        # degree-2 basis, whose rows mix the monomials, and on that basis
+        # over the denominators 2..6
+        h = inv.harmonic_space(2)
+        basis = [b / (k + 2) for k, b in enumerate(h.basis)]
+        scaled = inv.RepresentationSpace("harmonic", 2, None, "integer", h.index_map,
+                                         h.monomials, coefficient_matrix(basis, h.monomials))
+        assert scaled.numerators[1] == 60
+        for space in (h, scaled):
+            for _ in range(50):
+                num = rng.integers(-6, 7, size=(3, 5)) * rng.integers(1, 4, size=(3, 1))
+                den = rng.integers(1, 5, size=(3, 5))
+                num[rng.random(num.shape) < 0.3] = 0
+                rows = np.array([[F(int(a), int(d)) for a, d in zip(*r)]
+                                 for r in zip(num, den)], dtype=object)
+                self.assert_matches_reference(space, rows)
 
 
 class TestIntersection:
@@ -396,6 +448,19 @@ class TestMolien:
         assert got.dimension == 1
         for b in got.basis:
             assert b.laplacian().is_zero()
+
+    def test_invariant_harmonics_raises_when_the_series_disagrees(self, monkeypatch):
+        real = inv.molien_series
+
+        def off_by_one(group, M_max, trace_tol=inv.TRACE_TOL):
+            ms = real(group, M_max, trace_tol)
+            return inv.MolienSeries(ms.group_name, ms.max_degree, ms.g,
+                                    ms.h[:-1] + (ms.h[-1] + 1,))
+
+        monkeypatch.setattr(inv, "molien_series", off_by_one)
+        with pytest.raises(RuntimeError, match="fixed-space dimension 1 disagrees "
+                                               "with series count 2 at degree 4"):
+            inv.invariant_harmonics(sg.build_group("O"), 4)
 
 
 class TestTraceTolerance:

@@ -393,21 +393,6 @@ class TestEquality:
         assert (c4 == rebuilt) is False and c4 != rebuilt
         assert c4 != sg.build_group("C2") and c4 != "C4"
 
-    def test_equal_by_name_rationality_and_elements(self):
-        o = sg.build_group("O")
-        copy = sg.PointGroup(o.name, o.elements, o.generators, o.exact_elements)
-        assert copy is not o and copy == o and hash(copy) == hash(o)
-        assert sg.PointGroup("O'", o.elements, o.generators, o.exact_elements) != o
-        assert sg.PointGroup(o.name, o.elements, o.generators) != o     # not rational
-        assert sg.PointGroup(o.name, o.elements[::-1], o.generators,
-                             o.exact_elements[::-1]) != o               # other order
-        assert {o: 1}[copy] == 1
-
-    def test_hash_is_stored(self):
-        g = sg.build_group("I")
-        assert hash(g) == g._hash == hash((g.name, False, g.stack.tobytes()))
-        assert {g, sg.build_group("I"), sg.build_group("Ii")} == {g, sg.build_group("Ii")}
-
 
 # ---------------------------------------------------------------------------
 # the one closure against the two it replaced
@@ -472,21 +457,21 @@ class TestClosureAgainstTheTable:
                              + [("T", 0), ("O", 0), ("I", 0)])
     def test_built_in_families(self, family, n):
         gens = sg._GENERATORS[family](n)
-        got, want = sg._group("g", gens), _table_group("g", gens)
+        got, want = sg.group_from_generators("g", gens), _table_group("g", gens)
         assert got.stack.tobytes() == want.stack.tobytes()
         assert got.exact_elements == want.exact_elements
 
     @pytest.mark.parametrize("name", sorted(CUSTOM_GENERATORS))
     def test_custom_generators(self, name):
         gens = CUSTOM_GENERATORS[name]
-        got, want = sg._group("g", gens), _table_group("g", gens)
+        got, want = sg.group_from_generators("g", gens), _table_group("g", gens)
         assert got.order > 1
         assert got.stack.tobytes() == want.stack.tobytes()
         assert got.exact_elements == want.exact_elements
 
     def test_both_stop_at_max_order(self):
         R = sg._axis_rotation((0.0, 0.0, 1.0), 1.0)
-        for close in (sg._group, _table_group):
+        for close in (sg.group_from_generators, _table_group):
             with pytest.raises(ValueError, match="closure exceeded"):
                 close("C_inf", [R])
 
@@ -618,4 +603,4 @@ class TestOneClosure:
             name = f + (str(n) if n else "")
             assert sg.build_group(name).order == sg.EXPECTED_ORDERS[f](n)
         with pytest.raises(RuntimeError, match="expected 3"):
-            sg._group("C4 as C3", sg._GENERATORS["C"](4), 3)
+            sg.group_from_generators("C4 as C3", sg._GENERATORS["C"](4), 3)
