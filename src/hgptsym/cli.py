@@ -2,9 +2,8 @@
 
 Every subcommand emits either a human-readable table (default on a
 terminal) or a schema-versioned JSON document (default when piped);
-``--format`` overrides.  The environment variable ``HGPTSYM_TRACE_TOL``,
-read on every call, overrides the integer-rounding tolerance used for
-floating-point groups; it must be a number in (0, 0.5).
+``--format`` overrides.  Floating-point groups are checked with the
+library's default integer-rounding tolerance (``invariants.TRACE_TOL``).
 """
 
 from __future__ import annotations
@@ -33,18 +32,6 @@ GOLDEN_DIMS = {
 TABLE_GROUPS = ["C2", "C3", "C4", "C5", "C6",
                 "D2", "D3", "D4", "D5", "D6", "T", "O", "I"]
 TABLE_CELLS = [(1, 1), (1, 2), (1, 3), (2, 2)]
-
-
-def _env_trace_tol():
-    """The integer-rounding tolerance: HGPTSYM_TRACE_TOL, or the library default."""
-    v = os.environ.get("HGPTSYM_TRACE_TOL")
-    if not v:
-        return invariants.TRACE_TOL
-    try:
-        return invariants.check_trace_tol(float(v))
-    except ValueError:
-        raise ValueError("HGPTSYM_TRACE_TOL must be a number in (0, 0.5), got %r"
-                         % v) from None
 
 
 def _float_json(x):
@@ -80,7 +67,7 @@ def _json(obj, indent="\n"):
 
 def _document(args, result):
     inputs = {k: v for k, v in vars(args).items()
-              if k not in ("func", "format", "trace_tol") and v is not None}
+              if k not in ("func", "format") and v is not None}
     return {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
             "inputs": inputs, "result": result}
 
@@ -102,12 +89,9 @@ def _poly_texts(polys):
 
 def _pattern_dict(pat):
     return {
-        "pairs": [list(p) for p in pat.pairs],
-        "independent": [list(p) for p in pat.independent],
-        "zero": [list(p) for p in pat.zero],
-        "relations": [{"pair": list(k),
-                       "terms": [{"pair": list(pp), "coefficient": float(c)}
-                                 for pp, c in v]}
+        "pairs": pat.pairs, "independent": pat.independent, "zero": pat.zero,
+        "relations": [{"pair": k, "terms": [{"pair": pp, "coefficient": float(c)}
+                                            for pp, c in v]}
                       for k, v in sorted(pat.relations.items())],
     }
 
@@ -126,8 +110,7 @@ def cmd_group(args):
         "verified": report.passed,
         "max_orthogonality_residual": report.max_orthogonality_residual,
         "max_closure_residual": report.max_closure_residual,
-        "elements": [[[float(v) for v in row] for row in np.asarray(E, dtype=float)]
-                     for E in g.elements],
+        "elements": g.stack.tolist(),
     }
     lines = ["group %s  order %d  (%d rotations, %d improper)  %s arithmetic"
              % (g.name, g.order, dets.count(1), dets.count(-1),
@@ -170,7 +153,7 @@ def cmd_basis_change(args):
 
 def cmd_invariant_harmonics(args):
     g = symgroups.build_group(args.group)
-    inv = invariants.invariant_harmonics(g, args.degree, args.style, args.trace_tol)
+    inv = invariants.invariant_harmonics(g, args.degree, args.style)
     result = {"group": g.name, "degree": args.degree,
               "dimension": inv.dimension, "basis": _poly_texts(inv.basis)}
     lines = ["group %s, degree %d: dimension %d" % (g.name, args.degree, inv.dimension)]
@@ -182,7 +165,7 @@ def cmd_invariant_harmonics(args):
 def cmd_invariants(args):
     g = symgroups.build_group(args.group)
     space = invariants.symmetric_product_space(args.p, args.q, args.style)
-    inv = invariants.invariant_subspace(space, g, args.trace_tol)
+    inv = invariants.invariant_subspace(space, g)
     pat = invariants.coefficient_pattern(inv)
     result = {"group": g.name, "p": args.p, "q": args.q, "style": args.style,
               "dimension": inv.dimension, "basis": _poly_texts(inv.basis),
@@ -204,7 +187,7 @@ def cmd_invariants(args):
 
 def cmd_molien(args):
     g = symgroups.build_group(args.group)
-    ms = invariants.molien_series(g, args.max_degree, args.trace_tol)
+    ms = invariants.molien_series(g, args.max_degree)
     result = {"group": g.name, "max_degree": args.max_degree,
               "g": list(ms.g), "h": list(ms.h)}
     lines = ["group %s up to degree %d" % (g.name, args.max_degree),
@@ -256,7 +239,7 @@ def cmd_pattern_residual(args):
     for b in blocks:
         space = invariants.symmetric_product_space(b.p, b.q, b.basis_style)
         pat = invariants.coefficient_pattern(
-            invariants.invariant_subspace(space, g, args.trace_tol))
+            invariants.invariant_subspace(space, g))
         _, res = hgpt.apply_pattern(b, pat)
         rows.append({"p": b.p, "q": b.q, "residual": res})
     result = {"group": g.name, "residuals": rows}
@@ -274,7 +257,7 @@ def cmd_regenerate_tables(args):
         g = symgroups.build_group(name)
         for (p, q) in TABLE_CELLS:
             space = invariants.symmetric_product_space(p, q)
-            inv = invariants.invariant_subspace(space, g, args.trace_tol)
+            inv = invariants.invariant_subspace(space, g)
             golden = GOLDEN_DIMS.get(name, {}).get((p, q))
             if golden is not None and inv.dimension != golden:
                 failures.append("%s (%d,%d): computed %d, table says %d"
@@ -367,7 +350,6 @@ _parser = cache(build_parser)   # one parser per process; parse_args keeps no st
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        args.trace_tol = _env_trace_tol()
         return args.func(args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

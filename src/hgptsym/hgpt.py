@@ -73,7 +73,8 @@ class HgptMatrix:
     @staticmethod
     def from_json_dict(d):
         """The block of a JSON object: p and q must be JSON integers >= 0, not
-        floats or booleans; a malformed block raises ``ValueError``."""
+        floats or booleans, and basis_style "integer" or "orthonormal" (the
+        default); a malformed block raises ``ValueError``."""
         if not isinstance(d, dict):
             raise ValueError("a block must be a JSON object, got %s" % type(d).__name__)
         for key in ("p", "q", "entries"):
@@ -85,9 +86,11 @@ class HgptMatrix:
             e = np.array(d["entries"], dtype=float)
         except TypeError as exc:
             raise ValueError("entries must be numbers: %s" % exc) from None
+        style = d.get("basis_style", "orthonormal")
+        if style not in ("integer", "orthonormal"):
+            raise ValueError('basis_style must be "integer" or "orthonormal", got %r' % (style,))
         p, q = d["p"], d["q"]
-        return HgptMatrix(p, q, e.reshape(2 * p + 1, 2 * q + 1),
-                          d.get("basis_style", "orthonormal"))
+        return HgptMatrix(p, q, e.reshape(2 * p + 1, 2 * q + 1), style)
 
 
 @dataclass(frozen=True)

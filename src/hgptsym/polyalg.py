@@ -32,33 +32,6 @@ def _is_exact(c):
     return isinstance(c, Fraction)
 
 
-def _limit_denominator(x, max_den):
-    """``Fraction(x).limit_denominator(max_den)`` of a float x as the pair
-    (numerator, denominator), in Python ints: the same continued-fraction
-    walk over ``x.as_integer_ratio()``, the two bounds compared by
-    cross-multiplication, a tie going to the convergent."""
-    if max_den < 1:
-        raise ValueError("max_den should be at least 1")
-    n0, d0 = x.as_integer_ratio()
-    if d0 <= max_den:
-        return n0, d0
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = n0, d0
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_den:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_den - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - x| <= |p2/q2 - x|, both sides times q1 q2 d0
-    if abs(p1 * d0 - n0 * q1) * q2 <= abs(p2 * d0 - n0 * q2) * q1:
-        return p1, q1
-    return p2, q2
-
-
 @cache
 def _factors_text(e):
     """The monomial x^e as ``to_text`` writes it after its coefficient,
@@ -68,12 +41,28 @@ def _factors_text(e):
                    for name, k in zip(names, e) if k)
 
 
-def _snap(c, tol=1e-9, max_den=1000):
+def _snap(c):
     """The real number c as the nearest rational with denominator at most
-    ``max_den`` when that lies within ``tol`` of it, else c itself."""
+    1000 when that lies within 1e-9 of it, else c itself.
+
+    Two such rationals differ by at least 1/1000^2, so at most one exists,
+    and it lies within 1/(2q^2) of x = float(c), so by Legendre's theorem it
+    is a convergent of x.  The walk over the continued-fraction convergents
+    of ``x.as_integer_ratio()`` in Python ints therefore returns exactly
+    ``Fraction(x).limit_denominator(1000)`` when that passes the check.  The
+    argument needs 2 * 1e-9 * 1000^2 < 1, so the bounds are fixed, and a
+    check in floats accurate to 5e-7, which holds for |x| < 2^32."""
     x = float(c)
-    p, q = _limit_denominator(x, max_den)
-    return Fraction(p, q) if abs(p / q - x) <= tol else c
+    n, d = x.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while True:
+        a, r = divmod(n, d)
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        if q1 > 1000:
+            return c
+        if abs(p1 / q1 - x) <= 1e-9:
+            return Fraction(p1, q1)
+        n, d = d, r
 
 
 class Polynomial:
@@ -308,12 +297,12 @@ class Polynomial:
             scale = 1.0 / lead
         return self * scale, scale
 
-    def snapped(self, tol=1e-9, max_den=1000):
-        """Float coefficients replaced by nearby small rationals when one
-        exists within ``tol``; exact polynomials are returned unchanged."""
+    def snapped(self):
+        """Float coefficients replaced by nearby small rationals (``_snap``);
+        exact polynomials are returned unchanged."""
         if self.is_exact():
             return self
-        return Polynomial._make({e: _snap(c, tol, max_den)
+        return Polynomial._make({e: _snap(c)
                                  for e, c in self.terms.items()}, self.nvars)
 
     # ---- text form ---------------------------------------------------------

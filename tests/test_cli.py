@@ -15,20 +15,6 @@ def run(capsys, argv):
     return code, out, err
 
 
-def record_trace_tol(monkeypatch):
-    """Trace tolerances the CLI hands to molien_series, one per call."""
-    from hgptsym import invariants
-    seen = []
-    real = invariants.molien_series
-
-    def spy(group, M_max, trace_tol=invariants.TRACE_TOL):
-        seen.append(trace_tol)
-        return real(group, M_max, trace_tol)
-
-    monkeypatch.setattr(invariants, "molien_series", spy)
-    return seen
-
-
 def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert code == 0, err
@@ -201,37 +187,16 @@ class TestErrors:
                                     "--source", "0,0,2", "--receiver", "0,0,2"])
         assert code == 1
 
-    def test_env_tolerance_override(self, capsys, monkeypatch):
-        from hgptsym import invariants
-        seen = record_trace_tol(monkeypatch)
-        monkeypatch.setenv("HGPTSYM_TRACE_TOL", "1e-3")
-        code, _, _ = run(capsys, ["molien", "--group", "C3",
-                                  "--max-degree", "2", "--format", "json"])
-        assert code == 0
-        assert seen == [1e-3]
-        assert invariants.TRACE_TOL == 1e-6
-
-    def test_env_tolerance_does_not_leak(self, capsys, monkeypatch):
-        seen = record_trace_tol(monkeypatch)
-        argv = ["molien", "--group", "C3", "--max-degree", "2", "--format", "json"]
-        monkeypatch.setenv("HGPTSYM_TRACE_TOL", "0.1")
-        code1, out1, _ = run(capsys, argv)
-        monkeypatch.delenv("HGPTSYM_TRACE_TOL")
-        code2, out2, _ = run(capsys, argv)
-        assert code1 == code2 == 0 and out1 == out2
-        assert seen == [0.1, 1e-6]
-        assert "trace_tol" not in json.loads(out2)["inputs"]
-
-    @pytest.mark.parametrize("value", ["nan", "-1e-3", "abc", "inf", "0.5"])
-    def test_env_tolerance_rejected(self, capsys, monkeypatch, value):
-        from hgptsym import invariants
+    @pytest.mark.parametrize("value", ["nan", "1e-3", "abc"])
+    def test_the_trace_tolerance_is_not_read_from_the_environment(self, capsys, monkeypatch,
+                                                                    value):
+        argvs = [["molien", "--group", "C3", "--max-degree", "4", "--format", "json"],
+                 ["invariants", "--group", "C3", "--p", "1", "--q", "1", "--format", "json"]]
+        monkeypatch.delenv("HGPTSYM_TRACE_TOL", raising=False)
+        want = [run(capsys, argv) for argv in argvs]
         monkeypatch.setenv("HGPTSYM_TRACE_TOL", value)
-        old = invariants.TRACE_TOL
-        code, out, err = run(capsys, ["molien", "--group", "C3",
-                                      "--max-degree", "2", "--format", "json"])
-        assert code != 0 and out == ""
-        assert "HGPTSYM_TRACE_TOL" in err
-        assert invariants.TRACE_TOL == old
+        got = [run(capsys, argv) for argv in argvs]
+        assert got == want and all(code == 0 for code, _, _ in want)
 
     def test_negative_molien_degree(self, capsys):
         code, out, err = run(capsys, ["molien", "--group", "C4", "--max-degree", "-3"])
@@ -274,6 +239,12 @@ class TestErrors:
         ('[{"p": 0, "q": 0, "entries": [1]}, 3]', "block 1: a block must be a JSON object"),
         ('{"blocks": 5}', "the blocks must be a JSON list of objects"),
         ('{"block": []}', "the blocks must be a JSON list of objects"),
+        ('[{"p": 1, "q": 1, "basis_style": ["x"], "entries": [2, 0, 0, 0, 2, 0, 0, 0, 7]}]',
+         "block 0: basis_style must be \"integer\" or \"orthonormal\", got ['x']"),
+        ('[{"p": 0, "q": 0, "entries": [1]}, {"p": 0, "q": 0, "basis_style": "foo", '
+         '"entries": [1]}]', "block 1: basis_style must be"),
+        ('[{"p": 0, "q": 0, "basis_style": 3, "entries": [1]}]',
+         "block 0: basis_style must be \"integer\" or \"orthonormal\", got 3"),
     ])
     def test_malformed_block_files_fail_loudly(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
@@ -283,6 +254,15 @@ class TestErrors:
             code, out, err = run(capsys, argv + ["--blocks", str(path)])
             assert code == 1 and out == ""
             assert err.startswith("error: %s: " % path) and message in err
+
+    def test_a_block_filtered_out_by_nmax_is_still_checked(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('[{"p": 0, "q": 0, "entries": [1]}, '
+                        '{"p": 1, "q": 0, "basis_style": "foo", "entries": [0, 0, 0]}]')
+        code, out, err = run(capsys, ["forward", "--blocks", str(path), "--nmax", "0",
+                                      "--source", "0,0,2", "--receiver", "0,0,2"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: %s: block 1: basis_style must be" % path)
 
     def test_non_finite_point(self, capsys, tmp_path):
         path = tmp_path / "one.json"

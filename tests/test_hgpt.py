@@ -1,6 +1,7 @@
 """HGPT block algebra: basis conversions, transformation laws, forward model."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -449,6 +450,17 @@ class TestJsonSchema:
     @pytest.mark.parametrize("d", [5, [1, 1], None])
     def test_a_block_must_be_an_object(self, d):
         with pytest.raises(ValueError, match="a block must be a JSON object"):
+            hgpt.HgptMatrix.from_json_dict(d)
+
+    def test_basis_style_defaults_to_orthonormal(self):
+        M = hgpt.HgptMatrix.from_json_dict({"p": 0, "q": 0, "entries": [1.0]})
+        assert M.basis_style == "orthonormal"
+
+    @pytest.mark.parametrize("style", [["x"], "foo", 3, None, "Integer"])
+    def test_basis_style_must_be_a_known_name(self, style):
+        d = {"p": 0, "q": 0, "basis_style": style, "entries": [1.0]}
+        with pytest.raises(ValueError, match='basis_style must be "integer" or '
+                           '"orthonormal", got %s' % re.escape(repr(style))):
             hgpt.HgptMatrix.from_json_dict(d)
 
     def test_entries_must_be_numbers(self):

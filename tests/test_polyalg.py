@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import proportional, u1, u2, u3
-from hgptsym.polyalg import (Polynomial, _limit_denominator, coefficient_matrix,
+from hgptsym.polyalg import (Polynomial, _snap, coefficient_matrix,
                              kelvin_harmonicize, rational_nullspace, rational_rref,
                              zero_tolerance)
 
@@ -123,9 +123,7 @@ class TestCanonicalization:
         assert all(type(s.terms[e]) is Fraction for e in [(0, 1, 0), (1, 1, 0)])
 
 
-class TestLimitDenominator:
-    MAX_DENS = (1, 2, 7, 1000, 10 ** 6)
-
+class TestSnap:
     @staticmethod
     def sample(n, seed=20221):
         """n floats: uniform, small rationals nudged by 0 or +-1e-12, and
@@ -139,22 +137,23 @@ class TestLimitDenominator:
             out.append(rng.choice((1, -1)) * math.sqrt(rng.randint(1, 10 ** 5)))
         return out[:n]
 
-    def test_matches_the_stdlib(self):
-        xs = self.sample(10 ** 5) + [0.0, -0.0, 1e-300, -1e300, 5e-324]
-        for k, x in enumerate(xs):
-            max_den = self.MAX_DENS[k % len(self.MAX_DENS)]
-            f = Fraction(x).limit_denominator(max_den)
-            assert _limit_denominator(x, max_den) == (f.numerator, f.denominator), (x, max_den)
+    @staticmethod
+    def reference(x):
+        """The rule ``_snap`` implements, through the stdlib."""
+        f = Fraction(x).limit_denominator(1000)
+        return f if abs(f.numerator / f.denominator - x) <= 1e-9 else x
 
-    @pytest.mark.parametrize("x,want", [(0.5, (0, 1)), (1.5, (1, 1)), (-0.5, (-1, 1)),
-                                        (2.5, (2, 1)), (-2.5, (-3, 1))])
-    def test_a_tie_goes_to_the_convergent(self, x, want):
-        f = Fraction(x).limit_denominator(1)
-        assert _limit_denominator(x, 1) == want == (f.numerator, f.denominator)
-
-    def test_max_den_below_one_is_rejected(self):
-        with pytest.raises(ValueError):
-            _limit_denominator(0.3, 0)
+    def test_matches_limit_denominator_with_the_tolerance_check(self):
+        rng = random.Random(20222)
+        near = [rng.randint(-2000, 2000) / rng.randint(1, 1000)
+                + rng.choice((1, -1)) * (1e-9 + rng.choice((1, -1)) * 1e-12)
+                for _ in range(10 ** 4)]
+        dyadic = [k / 1024 for k in range(-3000, 3001)] + [k / 2048 for k in range(-3000, 3001)]
+        xs = (self.sample(6 * 10 ** 4) + near + dyadic
+              + [0.0, -0.0, 1e-300, -1e300, 5e-324, np.float64(2 / 3)])
+        for x in xs:
+            got, want = _snap(x), self.reference(x)
+            assert got == want and type(got) is type(want), x
 
 
 class TestKelvin:
