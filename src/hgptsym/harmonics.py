@@ -329,21 +329,6 @@ def complex_solid_harmonics(n):
     return [complex_solid_harmonic(n, m) for m in range(-n, n + 1)]
 
 
-def solid_harmonic_inner_over_pi(h1, h2):
-    """(1/pi) * <H1, H2>_S exactly (Fraction-valued up to the sqrt scales).
-
-    Returns the exact rational value of <H1,H2>_S / (pi * sqrt(n2_1 * n2_2 / pi^2)),
-    i.e. the core inner product; the full inner product is this times
-    sqrt(n2_1 * n2_2).  Orthonormality holds iff the product equals 1 for
-    h1 == h2 and the core inner product vanishes otherwise.
-    """
-    re_part = sphere_inner_over_pi(h1.re_core, h2.re_core) + \
-        sphere_inner_over_pi(h1.im_core, h2.im_core)
-    im_part = sphere_inner_over_pi(h1.im_core, h2.re_core) - \
-        sphere_inner_over_pi(h1.re_core, h2.im_core)
-    return re_part, im_part
-
-
 # ---------------------------------------------------------------------------
 # Change of basis between real and complex harmonics
 # ---------------------------------------------------------------------------

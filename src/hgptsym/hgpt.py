@@ -38,6 +38,7 @@ block, given or computed, passes the one finite check of ``HgptMatrix``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -172,7 +173,7 @@ def hgpt_from_gpt(G, style="orthonormal"):
 
 def scale(N, s):
     """Scaling law: N_pq(sB) = s^(p+q+1) N_pq(B)."""
-    if not (s > 0 and math.isfinite(s)):
+    if not 0 < s <= sys.float_info.max:     # exact for an int or Fraction too
         raise ValueError("scale factor must be a positive finite number")
     with np.errstate(over="ignore", invalid="ignore"):
         e = N.entries * np.float64(s) ** (N.p + N.q + 1)

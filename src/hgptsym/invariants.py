@@ -6,7 +6,8 @@ I_p^i(y) I_q^j(x)), the per-element action matrices, the group-averaging
 projector whose trace is the fixed-subspace dimension, the Molien
 dimension series with its harmonic counterpart h(t) = (1 - t^2) g(t),
 and the translation of fixed symmetric products into linear relations
-among HGPT coefficients.
+among HGPT coefficients.  The paper's Algorithm 2 (subspace intersection)
+and a pointwise fixedness check are float references kept by the tests.
 
 A space is its coefficient matrix B over a monomial list, held once as
 (N, den) with B = N / den (``polyalg.coefficient_matrix`` reads it off
@@ -48,7 +49,6 @@ over one denominator.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -63,12 +63,10 @@ from .polyalg import (RTOL, Polynomial, _snap, coefficient_matrix, integer_matri
 _F = Fraction
 
 TRACE_TOL = 1e-6
-PROJECTOR_TOL = 1e-9
 SOLVE_TOL = 1e-10
 MEMO = 64                # memo entries: a float-grid pass uses 33 (space, stack) keys,
                          # an hgpt campaign 8 pattern stacks and 4 D_p(R) an object
 ACTION_BLOCK = 1 << 14   # Sym^p entries a float action batch builds at once
-SVD_RELTOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +389,8 @@ def averaging_projector(space, group):
     the single contraction ``Dp.reshape(n, a*a).T @ Dq.reshape(n, b*b)``,
     folded once.
     """
+    if not group.order:         # the mean over no elements is 0/0
+        raise ValueError("group %s has no elements" % group.name)
     if space.is_exact and group.is_rational:
         total = sum(np.asarray(action_matrix(space, E)) for E in group.exact_elements)
         return (total / group.order).tolist()
@@ -493,65 +493,6 @@ def _canonical_basis(space, rows):
             tuple(map(tuple, (rows * scale[:, None]).tolist())))
 
 
-def verify_fixed(inv, group, nsamples=20, tol=PROJECTOR_TOL, seed=0):
-    """Pointwise check S(Rx, Ry) = S(x, y) at random rational points."""
-    rng = random.Random(seed)
-    nv = len(inv.space.monomials[0])
-    worst = 0.0
-    for S in inv.basis:
-        pts = [tuple(_F(rng.randint(-10, 10), rng.randint(1, 7)) for _ in range(nv))
-               for _ in range(nsamples)]
-        for E in group.elements:
-            for pt in pts:
-                x = np.asarray(pt[:3], dtype=float)
-                rx = np.asarray(E, dtype=float) @ x
-                if nv == 6:
-                    y = np.asarray(pt[3:], dtype=float)
-                    ry = np.asarray(E, dtype=float) @ y
-                    moved = tuple(rx) + tuple(ry)
-                else:
-                    moved = tuple(rx)
-                a = float(S.evaluate(moved))
-                b = float(S.evaluate(tuple(float(v) for v in pt)))
-                worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return worst <= tol, worst
-
-
-# ---------------------------------------------------------------------------
-# subspace intersection (null-space construction)
-# ---------------------------------------------------------------------------
-
-def nullspace(C, reltol=SVD_RELTOL):
-    """Rows spanning the null space of C (SVD threshold relative to sigma_max)."""
-    C = np.asarray(C, dtype=float)
-    if C.size == 0:
-        return np.eye(C.shape[1])
-    _, s, vt = np.linalg.svd(C)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > reltol * max(smax, 1e-300)))
-    return vt[rank:]
-
-
-def intersect_subspaces(A, B):
-    """Basis (rows) of span(columns of A) intersect span(columns of B).
-
-    Stack C = [A B], take null vectors (u; w); then A u spans the
-    intersection.  Empty intersection returns an empty array.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.shape[1] == 0 or B.shape[1] == 0:
-        return np.zeros((0, A.shape[0]))
-    C = np.hstack([A, B])
-    N = nullspace(C)
-    if N.shape[0] == 0:
-        return np.zeros((0, A.shape[0]))
-    inter = N[:, :A.shape[1]] @ A.T
-    # keep an independent subset of the rows
-    keep = nullspace(nullspace(inter))  # orthonormal row basis of the row space
-    return keep
-
-
 # ---------------------------------------------------------------------------
 # Molien series and invariant harmonic counts
 # ---------------------------------------------------------------------------
@@ -602,6 +543,8 @@ def molien_series(group, M_max, trace_tol=TRACE_TOL):
     check_trace_tol(trace_tol)
     if M_max < 0:
         raise ValueError("max degree must be non-negative, got %d" % M_max)
+    if not group.order:
+        raise ValueError("group %s has no elements" % group.name)
     S = np.array(group.exact_elements, dtype=object) if group.is_rational else group.stack
     t, den = _char_poly_series(S, M_max)
     g = []

@@ -4,7 +4,8 @@ Polynomials live in either 3 variables (x1, x2, x3) or 6 variables
 (x1, x2, x3, y1, y2, y3).  Coefficients are ``Fraction`` whenever the
 inputs are exact; mixing in floats degrades gracefully to float
 coefficients.  All values are immutable in use: every operation returns a
-new polynomial.
+new polynomial.  The module also holds what the pipeline needs of them: the
+float snapping rule, Kelvin harmonics, coefficient matrices and row reduction.
 """
 
 from __future__ import annotations
@@ -50,17 +51,16 @@ def _snap(c):
     is a convergent of x.  The walk over the continued-fraction convergents
     of ``x.as_integer_ratio()`` in Python ints therefore returns exactly
     ``Fraction(x).limit_denominator(1000)`` when that passes the check.  The
-    argument needs 2 * 1e-9 * 1000^2 < 1, so the bounds are fixed, and a
-    check in floats accurate to 5e-7, which holds for |x| < 2^32."""
-    x = float(c)
-    n, d = x.as_integer_ratio()
+    argument needs 2 * 1e-9 * 1000^2 < 1, so the bounds are fixed.  The
+    check |p/q - x| <= 10^-9 runs exactly, in Python ints, at any magnitude."""
+    n, d = n0, d0 = float(c).as_integer_ratio()
     p0, q0, p1, q1 = 0, 1, 1, 0
     while True:
         a, r = divmod(n, d)
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
         if q1 > 1000:
             return c
-        if abs(p1 / q1 - x) <= 1e-9:
+        if abs(p1 * d0 - n0 * q1) * 10 ** 9 <= q1 * d0:
             return Fraction(p1, q1)
         n, d = d, r
 
@@ -114,10 +114,6 @@ class Polynomial:
         e[i] = 1
         return cls({tuple(e): 1}, nvars)
 
-    @classmethod
-    def monomial(cls, exps, c=1):
-        return cls({tuple(exps): c}, len(exps))
-
     # ---- basic queries -------------------------------------------------
 
     def is_zero(self):
@@ -135,9 +131,6 @@ class Polynomial:
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
 
     def leading_exponent(self):
         """Lexicographically largest exponent tuple (None if zero).
@@ -297,14 +290,6 @@ class Polynomial:
             scale = 1.0 / lead
         return self * scale, scale
 
-    def snapped(self):
-        """Float coefficients replaced by nearby small rationals (``_snap``);
-        exact polynomials are returned unchanged."""
-        if self.is_exact():
-            return self
-        return Polynomial._make({e: _snap(c)
-                                 for e, c in self.terms.items()}, self.nvars)
-
     # ---- text form ---------------------------------------------------------
 
     def to_text(self):
@@ -459,21 +444,3 @@ def rational_rref(rows):
         r += 1
         c += 1
     return A, pivots
-
-
-def rational_nullspace(rows):
-    """Basis (list of rows) for the null space of the matrix (nested lists
-    or a numpy array)."""
-    if len(rows) == 0:
-        return []
-    nc = len(rows[0])
-    rref, pivots = rational_rref(rows)
-    free = [c for c in range(nc) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(v)
-    return basis

@@ -196,10 +196,6 @@ class _Keyed:
         return best
 
 
-def _contains(elements, M, tol=MATCH_TOL):
-    return bool(_Keyed(elements).nearest(M, tol)[0] < tol)
-
-
 def group_from_generators(name, generators, expected_order=None):
     """Closure of explicit generator matrices in breadth-first rounds, in
     their own field: rational if every entry is an int or a Fraction.

@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import prod, proportional, random_rotation, span_equal, sym, u1, u2, u3
+from conftest import (intersect_subspaces, prod, proportional, random_rotation, span_equal,
+                      sym, u1, u2, u3)
 from hgptsym import harmonics as H
 from hgptsym import hgpt
 from hgptsym import invariants as inv
@@ -326,7 +327,7 @@ def test_criterion_9_algorithm_2_equivalence(n):
                       inv.invariant_subspace(space, cn).coefficient_rows]).T
         B = np.array([[float(c) for c in r] for r in
                       inv.invariant_subspace(space, flip).coefficient_rows]).T
-        inter = inv.intersect_subspaces(A, B)
+        inter = intersect_subspaces(A, B)
         direct = inv.invariant_subspace(space, dn)
         assert inter.shape[0] == direct.dimension, (n, p, q)
         D = np.array([[float(c) for c in r] for r in direct.coefficient_rows])

@@ -135,7 +135,7 @@ class TestScale:
         with pytest.raises(ValueError):
             hgpt.scale(N, 0.0)
 
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, 0.0, -2.0, 10 ** 400])
     def test_rejects_a_factor_before_any_arithmetic(self, s):
         N = hgpt.HgptMatrix(1, 1, np.eye(3))
         with warnings.catch_warnings():

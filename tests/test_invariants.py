@@ -5,11 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_rotation, span_equal
+from conftest import intersect_subspaces, nullspace, random_rotation, span_equal, verify_fixed
 from hgptsym import invariants as inv
 from hgptsym import symgroups as sg
 from hgptsym.harmonics import monomials_of_degree, real_basis
-from hgptsym.polyalg import Polynomial, coefficient_matrix
+from hgptsym.polyalg import Polynomial, _snap, coefficient_matrix
 
 F = Fraction
 
@@ -268,7 +268,7 @@ class TestInvariantSubspace:
         g = sg.build_group("D3")
         space = inv.symmetric_product_space(2, 2)
         sub = inv.invariant_subspace(space, g)
-        ok, worst = inv.verify_fixed(sub, g)
+        ok, worst = verify_fixed(sub, g)
         assert ok, worst
 
     def test_type2_kills_odd_degrees(self):
@@ -288,7 +288,7 @@ class TestInvariantSubspace:
 
 def _reference_float_basis(space, rows):
     """The per-row chain the block path replaced: row @ B, the row's own zero
-    tolerance, ``canonicalized`` and ``snapped`` on each polynomial."""
+    tolerance, ``canonicalized`` and ``_snap`` on each coefficient."""
     polys, coeff_rows = [], []
     for crow in rows:
         mono = crow @ space.coefficients
@@ -296,7 +296,7 @@ def _reference_float_basis(space, rows):
         poly = Polynomial._make({e: c for e, c in zip(space.monomials, mono) if abs(c) > tol},
                                 len(space.monomials[0]))
         poly, scale = poly.canonicalized()
-        polys.append(poly.snapped())
+        polys.append(Polynomial._make({e: _snap(c) for e, c in poly.terms.items()}, poly.nvars))
         coeff_rows.append(tuple((crow * scale).tolist()))
     return polys, coeff_rows
 
@@ -392,7 +392,7 @@ class TestExactBasisBlock:
 class TestIntersection:
     def test_nullspace_threshold(self):
         C = np.array([[1.0, 0.0], [0.0, 1e-14]])
-        N = inv.nullspace(C)
+        N = nullspace(C)
         assert N.shape[0] == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -406,7 +406,7 @@ class TestIntersection:
                       inv.invariant_subspace(space, cn).coefficient_rows]).T
         B = np.array([[float(c) for c in r] for r in
                       inv.invariant_subspace(space, flip).coefficient_rows]).T
-        inter = inv.intersect_subspaces(A, B)
+        inter = intersect_subspaces(A, B)
         direct = inv.invariant_subspace(space, dn)
         assert inter.shape[0] == direct.dimension
         D = np.array([[float(c) for c in r] for r in direct.coefficient_rows])
@@ -789,13 +789,29 @@ class TestChecksOnStackedPath:
             inv.averaging_projector(space, self.skew_group(exact))
         assert seen == []
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_a_group_with_no_elements_is_refused_before_any_arithmetic(self, exact,
+                                                                        monkeypatch):
+        g = sg.PointGroup("E", np.zeros((0, 3, 3)), (), () if exact else None)
+        assert g.is_rational == exact
+        seen = []
+        for name in ("action_matrix", "_action_sum", "_char_poly_series"):
+            monkeypatch.setattr(inv, name, lambda *a: seen.append(a))
+        for call in (lambda: inv.averaging_projector(inv.harmonic_space(1), g),
+                     lambda: inv.averaging_projector(inv.symmetric_product_space(1, 2), g),
+                     lambda: inv.invariant_subspace(inv.harmonic_space(2), g),
+                     lambda: inv.molien_series(g, 4)):
+            with pytest.raises(ValueError, match="group E has no elements"):
+                call()
+        assert seen == []
+
 
 def _reference_action(space, R):
     """D(R) by an independent route: each monomial composed with R in floats
     (``compose_linear``), the basis carried along, then solved against B^T by
     least squares."""
     monos = space.monomials
-    T, _ = coefficient_matrix([Polynomial.monomial(e, 1.0).compose_linear(R) for e in monos],
+    T, _ = coefficient_matrix([Polynomial({e: 1.0}, 3).compose_linear(R) for e in monos],
                               monos)
     B = space.coefficients
     return np.linalg.lstsq(B.T, (B @ T).T, rcond=None)[0].T
@@ -932,7 +948,7 @@ class TestSubstitutionMatrices:
         monos = monomials_of_degree(p, 3)
         T = inv.substitution_matrices(g.stack, p)
         for k, E in enumerate(g.exact_elements):
-            C, den = coefficient_matrix([Polynomial.monomial(e).compose_linear(E)
+            C, den = coefficient_matrix([Polynomial({e: 1}, 3).compose_linear(E)
                                          for e in monos], monos)
             want = np.array((C / den).tolist(), dtype=float)
             # + 0.0 turns a product's -0.0 into the +0.0 a zero Fraction gives

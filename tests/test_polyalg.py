@@ -7,10 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import proportional, u1, u2, u3
-from hgptsym.polyalg import (Polynomial, _snap, coefficient_matrix,
-                             kelvin_harmonicize, rational_nullspace, rational_rref,
-                             zero_tolerance)
+from conftest import proportional, rational_nullspace, u1, u2, u3
+from hgptsym.polyalg import (Polynomial, _snap, coefficient_matrix, kelvin_harmonicize,
+                             rational_rref, zero_tolerance)
 
 
 class TestArithmetic:
@@ -22,10 +21,10 @@ class TestArithmetic:
         assert p * 0 == Polynomial.zero(3)
 
     def test_fraction_coefficients_stay_exact(self):
-        p = Polynomial.monomial((1, 1, 0), Fraction(1, 3)) + u3 / 7
+        p = Polynomial({(1, 1, 0): Fraction(1, 3)}, 3) + u3 / 7
         assert p.is_exact()
-        assert p.coefficient((1, 1, 0)) == Fraction(1, 3)
-        assert p.coefficient((0, 0, 1)) == Fraction(1, 7)
+        assert p.terms[(1, 1, 0)] == Fraction(1, 3)
+        assert p.terms[(0, 0, 1)] == Fraction(1, 7)
 
     def test_float_coefficients_degrade_gracefully(self):
         p = 0.5 * u1 + u2
@@ -36,7 +35,7 @@ class TestArithmetic:
         p = (u1 + u2 + u3) ** 3
         assert p.degree() == 3
         assert p.is_homogeneous()
-        assert p.coefficient((1, 1, 1)) == 6
+        assert p.terms[(1, 1, 1)] == 6
 
     def test_evaluate_exact(self):
         p = u1 ** 2 - u2 * u3
@@ -108,20 +107,6 @@ class TestCanonicalization:
         c, _ = p.canonicalized()
         assert c == p  # 2*x3^2 keeps its positive printed sign
 
-    def test_snapped(self):
-        p = (1.0 + 1e-13) * u1 + 0.5000000000001 * u2
-        s = p.snapped()
-        assert s.coefficient((1, 0, 0)) == 1
-        assert s.coefficient((0, 1, 0)) == Fraction(1, 2)
-
-    def test_snapped_keeps_the_field_of_each_coefficient(self):
-        p = 1e-12 * u1 + 0.25 * u2 + np.pi * u3 + np.float64(-1.5) * u1 * u2
-        s = p.snapped()
-        assert s.terms == {(0, 1, 0): Fraction(1, 4), (0, 0, 1): np.pi,
-                           (1, 1, 0): Fraction(-3, 2)}
-        assert type(s.terms[(0, 0, 1)]) is float
-        assert all(type(s.terms[e]) is Fraction for e in [(0, 1, 0), (1, 1, 0)])
-
 
 class TestSnap:
     @staticmethod
@@ -139,9 +124,21 @@ class TestSnap:
 
     @staticmethod
     def reference(x):
-        """The rule ``_snap`` implements, through the stdlib."""
+        """The rule ``_snap`` implements, through the stdlib, with the exact
+        distance."""
         f = Fraction(x).limit_denominator(1000)
-        return f if abs(f.numerator / f.denominator - x) <= 1e-9 else x
+        return f if abs(f - Fraction(x)) <= Fraction(1, 10 ** 9) else x
+
+    @pytest.mark.parametrize("x, want", [
+        (1.0 + 1e-13, Fraction(1)), (0.5000000000001, Fraction(1, 2)),
+        (1e-12, Fraction(0)), (0.25, Fraction(1, 4)), (np.pi, np.pi),
+        (np.float64(-1.5), Fraction(-3, 2)),
+        (1095126363198664.6, Fraction(8761010905589317, 8)),
+        (-8627119033.188375, -8627119033.188375)])
+    def test_keeps_the_field_of_each_value(self, x, want):
+        got = _snap(x)
+        assert got == want and type(got) is type(want)
+        assert got == self.reference(x)
 
     def test_matches_limit_denominator_with_the_tolerance_check(self):
         rng = random.Random(20222)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import _contains
 from hgptsym import symgroups as sg
 from hgptsym.invariants import molien_series
 from hgptsym.polyalg import integer_matrix
@@ -77,10 +78,10 @@ class TestType3:
     def test_generators_are_elements_and_close_to_the_group(self, name):
         g = sg.build_group(name)
         for G in g.generators:
-            assert sg._contains(g.elements, G)
+            assert _contains(g.elements, G)
         closed = sg.group_from_generators("closure", g.generators)
         assert closed.order == g.order
-        assert all(sg._contains(closed.elements, E) for E in g.elements)
+        assert all(_contains(closed.elements, E) for E in g.elements)
 
     def test_rejects_wrong_index(self):
         with pytest.raises(ValueError):
@@ -239,7 +240,7 @@ class TestVerification:
         S[3] = np.nan
         assert sg._nearest(S, S)[:3].tolist() == [0.0] * 3 and np.isnan(sg._nearest(S, S)[3])
         assert sg._nearest(np.eye(3), S[3:]).tolist() == [np.inf]
-        assert sg._contains(S, np.eye(3)) and not sg._contains(S, S[3])
+        assert _contains(S, np.eye(3)) and not _contains(S, S[3])
 
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf"), -float("inf")])
     def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tol):
@@ -329,7 +330,7 @@ class TestKeyedMatching:
         S = sg.build_group("C4").stack
         assert sg._Keyed(np.zeros((0, 3, 3))).nearest(S, sg.MATCH_TOL).tolist() == [np.inf] * 4
         assert sg._Keyed(S).nearest(np.zeros((0, 3, 3)), sg.MATCH_TOL).shape == (0,)
-        assert not sg._contains(np.zeros((0, 3, 3)), np.eye(3))
+        assert not _contains(np.zeros((0, 3, 3)), np.eye(3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_give_the_full_search(self, bad):
@@ -484,7 +485,7 @@ def _reference_close_float(generators, max_order=sg.MAX_ORDER):
     while i < n:
         for g in gens:
             P = g @ elems[i]
-            if not sg._contains(elems[:n], P):
+            if not _contains(elems[:n], P):
                 assert n < max_order
                 elems[n] = P
                 n += 1
