@@ -199,8 +199,11 @@ def cmd_molien(args):
 def _load_blocks(path):
     """The blocks of a JSON file: a list of block objects, or an object whose
     "blocks" is one.  A malformed block raises ``ValueError`` naming its index."""
-    with open(path) as f:
-        doc = json.load(f)
+    with open(path, encoding="utf-8") as f:     # JSON text is UTF-8 (RFC 8259)
+        try:
+            doc = json.load(f)
+        except ValueError as exc:                # not JSON, or not UTF-8
+            raise ValueError("%s: %s" % (path, exc)) from None
     items = doc.get("blocks") if isinstance(doc, dict) else doc
     if not isinstance(items, list):
         raise ValueError("%s: the blocks must be a JSON list of objects" % path)

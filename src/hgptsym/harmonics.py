@@ -2,11 +2,11 @@
 
 Real bases come in two styles: "integer" (small integer coefficients, not
 normalized on the sphere) and "orthonormal" (unit L2 norm on the unit
-sphere).  Degrees 0..4 use built-in tables; higher degrees are constructed
-from the null space of the Laplacian on homogeneous monomials.
-
-Complex solid harmonics r^n Y_n^m are kept as exact rational "cores"
-together with an exact normalization n2 such that the harmonic equals
+sphere).  Degrees 0..4 use built-in tables.  Above them the integer style is
+the Laplacian's null-space basis, and the orthonormal style is m-adapted: the
+real and imaginary parts of the complex solid harmonics r^n Y_n^m.  Those
+are kept as exact rational "cores", built from a closed formula, with an
+exact normalization n2 such that the harmonic equals
 sqrt(n2 / pi) * (re_core + i * im_core).  This makes harmonicity and
 orthonormality checkable in exact arithmetic; float-coefficient
 polynomials are derived for numerical evaluation.
@@ -194,30 +194,13 @@ def harmonic_nullspace_basis(n):
     return basis
 
 
-def _gram_schmidt_orthonormal(cores):
-    """Exact Gram-Schmidt on the sphere; returns (orthogonal cores, norms2)."""
-    ortho = []
-    inner_self = []
-    for p in cores:
-        u = p
-        for v, vv in zip(ortho, inner_self):
-            coef = sphere_inner_over_pi(p, v) / vv
-            if coef:
-                u = u - coef * v
-        u, _ = u.canonicalized()
-        ortho.append(u)
-        inner_self.append(sphere_inner_over_pi(u, u))
-    norms2 = [_F(1) / s for s in inner_self]
-    return ortho, norms2
-
-
 @cache
 def real_basis(n, style="integer"):
     """The 2n+1 real harmonic polynomials of degree n.
 
     ``style`` is "integer" or "orthonormal".  Degrees 0..4 reproduce the
-    built-in tables; higher degrees are constructed from the Laplacian
-    null space (orthonormalized on the sphere when requested).  Memoised:
+    built-in tables; higher degrees come from the Laplacian null space, or
+    from the canonicalized complex cores in the orthonormal style.  Memoised:
     the returned basis is shared and must not be modified.
     """
     if n < 0:
@@ -230,11 +213,16 @@ def real_basis(n, style="integer"):
         return HarmonicBasis(n, "integer", tuple(polys), tuple(polys))
     if style == "orthonormal":
         if n in _ORTHONORMAL_TABLE:
-            pairs = _ORTHONORMAL_TABLE[n]
-            cores = [p for p, _ in pairs]
-            norms2 = [s for _, s in pairs]
+            cores, norms2 = zip(*_ORTHONORMAL_TABLE[n])
         else:
-            cores, norms2 = _gram_schmidt_orthonormal(real_basis(n, "integer").polynomials)
+            # order m = i - n: the cos(m phi) part of H_n^|m| for m >= 0, the
+            # sin(|m| phi) part for m < 0; each has half of |H_n^m|^2 if m != 0
+            hs = [complex_solid_harmonic(n, m) for m in range(n + 1)]
+            cores, norms2 = [], []
+            for m in range(-n, n + 1):
+                core, s = (hs[-m].im_core if m < 0 else hs[m].re_core).canonicalized()
+                cores.append(core)
+                norms2.append(hs[abs(m)].n2 * (2 if m else 1) / (s * s))
         polys = [c * math.sqrt(s / math.pi) for c, s in zip(cores, norms2)]
         return HarmonicBasis(n, "orthonormal", tuple(polys), tuple(cores), tuple(norms2))
     raise ValueError("unknown style %r" % style)
@@ -243,22 +231,6 @@ def real_basis(n, style="integer"):
 # ---------------------------------------------------------------------------
 # Complex solid harmonics  H_n^m = r^n Y_n^m
 # ---------------------------------------------------------------------------
-
-def legendre_coefficients(n):
-    """Coefficients of the Legendre polynomial P_n as Fractions, index = power."""
-    if n == 0:
-        return [_F(1)]
-    prev = [_F(1)]
-    cur = [_F(0), _F(1)]
-    for k in range(1, n):
-        nxt = [_F(0)] * (k + 2)
-        for i, c in enumerate(cur):
-            nxt[i + 1] += _F(2 * k + 1, k + 1) * c
-        for i, c in enumerate(prev):
-            nxt[i] -= _F(k, k + 1) * c
-        prev, cur = cur, nxt
-    return cur
-
 
 @dataclass(frozen=True)
 class ComplexSolidHarmonic:
@@ -281,32 +253,24 @@ class ComplexSolidHarmonic:
 
 
 def _solid_core(n, m):
-    """Rational core of r^n Y_n^m for m >= 0: (x1 + i x2)^m * R_nm(x3, r^2)."""
-    coeffs = legendre_coefficients(n)
-    for _ in range(m):
-        coeffs = [k * c for k, c in enumerate(coeffs)][1:]
-    x1, x2, x3 = (Polynomial.variable(i) for i in range(3))
-    r2 = x1 * x1 + x2 * x2 + x3 * x3
-    radial = Polynomial.zero(3)
-    for k, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        # term c * x3^k * r^(n-m-k); n-m-k is even by Legendre parity
-        radial = radial + c * (x3 ** k) * (r2 ** ((n - m - k) // 2))
-    re = Polynomial.zero(3)
-    im = Polynomial.zero(3)
-    for j in range(m + 1):
-        coef = _F(math.comb(m, j))
-        part = coef * (x1 ** (m - j)) * (x2 ** j)
-        if j % 4 == 0:
-            re = re + part
-        elif j % 4 == 1:
-            im = im + part
-        elif j % 4 == 2:
-            re = re - part
-        else:
-            im = im - part
-    return re * radial, im * radial
+    """Rational core of r^n Y_n^m for m >= 0, (re, im), in closed form:
+    2^-n sum_j (-1)^j C(n, j) C(2n-2j, n) (n-2j)!/(n-2j-m)! x3^(n-2j-m)
+    r^(2j) (x1 + i x2)^m, the m-th derivative of the Legendre polynomial P_n
+    at x3/r, times r^(n-m) (x1 + i x2)^m.  r^(2j) is expanded by the
+    trinomial theorem and (x1 + i x2)^m by the binomial theorem, in integers
+    over 2^n."""
+    parts = ({}, {})
+    binomial = [(k, (-1) ** (k // 2) * math.comb(m, k), parts[k % 2]) for k in range(m + 1)]
+    for j in range((n - m) // 2 + 1):
+        c = (-1) ** j * math.comb(n, j) * math.comb(2 * n - 2 * j, n) * math.perm(n - 2 * j, m)
+        for a in range(j + 1):
+            for b in range(j - a + 1):
+                t = c * math.comb(j, a) * math.comb(j - a, b)
+                for k, u, part in binomial:             # i^k C(m, k) x1^(m-k) x2^k
+                    e = (2 * a + m - k, 2 * b + k, n - m - 2 * a - 2 * b)
+                    part[e] = part.get(e, 0) + u * t
+    return tuple(Polynomial._make({e: _F(v, 2 ** n) for e, v in part.items()}, 3)
+                 for part in parts)
 
 
 def complex_solid_harmonic(n, m):

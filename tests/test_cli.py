@@ -245,10 +245,12 @@ class TestErrors:
          '"entries": [1]}]', "block 1: basis_style must be"),
         ('[{"p": 0, "q": 0, "basis_style": 3, "entries": [1]}]',
          "block 0: basis_style must be \"integer\" or \"orthonormal\", got 3"),
+        ("not json", "Expecting value"),
+        ("\xff\xfe", "can't decode byte 0xff"),
     ])
     def test_malformed_block_files_fail_loudly(self, capsys, tmp_path, doc, message):
         path = tmp_path / "bad.json"
-        path.write_text(doc)
+        path.write_bytes(doc.encode("latin-1"))     # one byte a character, not UTF-8
         for argv in (["forward", "--source", "0,0,2", "--receiver", "0,0,2"],
                      ["pattern-residual", "--group", "C4"]):
             code, out, err = run(capsys, argv + ["--blocks", str(path)])

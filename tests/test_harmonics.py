@@ -1,5 +1,6 @@
 """Harmonic bases, complex solid harmonics, basis changes, Green expansion."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import rational_nullspace, solid_harmonic_inner_over_pi
 from hgptsym import harmonics as H
+from hgptsym import hgpt
 from hgptsym.polyalg import Polynomial, coefficient_matrix
 
 
@@ -25,7 +27,7 @@ class TestSphereIntegration:
 
 
 class TestRealBases:
-    @pytest.mark.parametrize("n", range(0, 7))
+    @pytest.mark.parametrize("n", range(0, 13))
     def test_counts_and_harmonicity(self, n):
         for style in ("integer", "orthonormal"):
             basis = H.real_basis(n, style)
@@ -35,7 +37,7 @@ class TestRealBases:
                 if n > 0:
                     assert core.degree() == n and core.is_homogeneous()
 
-    @pytest.mark.parametrize("n", range(0, 7))
+    @pytest.mark.parametrize("n", range(0, 13))
     def test_orthonormality_exact(self, n):
         basis = H.real_basis(n, "orthonormal")
         k = 2 * n + 1
@@ -68,6 +70,15 @@ class TestRealBases:
         want = [Polynomial(dict(zip(monos, v)), 3).canonicalized()[0]
                 for v in rational_nullspace(L.T)]
         assert H.harmonic_nullspace_basis(n) == want
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_orthonormal_basis_above_degree_four_is_m_adapted(self, n):
+        # a rotation about x3 mixes only the orders m and -m, at positions
+        # i and 2n - i: D_n(Rz) is zero off its diagonal and anti-diagonal
+        c, s = math.cos(0.3), math.sin(0.3)
+        D = hgpt.rotation_matrix(n, [[c, -s, 0], [s, c, 0], [0, 0, 1]])
+        i, j = np.indices(D.shape)
+        assert np.max(np.abs(D[(i != j) & (i + j != 2 * n)])) <= 1e-12
 
     def test_table_degree_one(self):
         basis = H.real_basis(1, "orthonormal")
@@ -108,6 +119,17 @@ class TestComplexSolidHarmonics:
                     assert re * harms[a].n2 == 1 and im == 0
                 else:
                     assert re == 0 and im == 0
+
+    def test_cores_pinned(self):
+        """The exact cores, Fraction for Fraction: sha256 of re_core.to_text()
+        and im_core.to_text(), each followed by a newline, for every
+        0 <= m <= n <= 12 in that order."""
+        h = hashlib.sha256()
+        for n in range(13):
+            for m in range(n + 1):
+                c = H.complex_solid_harmonic(n, m)
+                h.update(("%s\n%s\n" % (c.re_core.to_text(), c.im_core.to_text())).encode())
+        assert h.hexdigest() == "33f642f80065e66354e132f7310f11045d4dd3dc83ddcbb0e7071ab76014f5c6"
 
     def test_degree_one_values(self):
         # H_1^0 = sqrt(3/(4 pi)) x3

@@ -449,6 +449,9 @@ class TestMolien:
         for b in got.basis:
             assert b.laplacian().is_zero()
 
+    def test_invariant_harmonics_of_i_at_degree_24_in_the_orthonormal_style(self):
+        assert inv.invariant_harmonics(sg.build_group("I"), 24, "orthonormal").dimension == 1
+
     def test_invariant_harmonics_raises_when_the_series_disagrees(self, monkeypatch):
         real = inv.molien_series
 
