@@ -18,7 +18,7 @@ rng = np.random.default_rng(7)
 # From raw polarizability coefficients (monomial basis) to a real HGPT
 # block.  A diagonal rank-2 tensor stays diagonal in the harmonic basis.
 # ---------------------------------------------------------------------------
-monos = monomials_of_degree(1, 3)
+monos = monomials_of_degree(1)
 d = {(1, 0, 0): 2.0, (0, 1, 0): 3.0, (0, 0, 1): 5.0}
 G = hgpt.GptCoefficients(1, 1, {(a, b): (d[a] if a == b else 0.0)
                                 for a in monos for b in monos})

@@ -2,19 +2,19 @@
 
 Real bases come in two styles: "integer" (small integer coefficients, not
 normalized on the sphere) and "orthonormal" (unit L2 norm on the unit
-sphere).  Degrees 0..4 use built-in tables.  Above them the integer style is
-the Laplacian's null-space basis, and the orthonormal style is m-adapted: the
-real and imaginary parts of the complex solid harmonics r^n Y_n^m.  Those
-are kept as exact rational "cores", built from a closed formula, with an
-exact normalization n2 such that the harmonic equals
-sqrt(n2 / pi) * (re_core + i * im_core).  This makes harmonicity and
-orthonormality checkable in exact arithmetic; float-coefficient
-polynomials are derived for numerical evaluation.
+sphere).  Degrees 0..4 use built-in tables of rational cores; each
+orthonormal norm is computed from its core by exact integration over the
+sphere.  Above them the integer style is the Laplacian's null-space basis,
+and the orthonormal style is m-adapted: the real and imaginary parts of the
+complex solid harmonics r^n Y_n^m.  Those are kept as exact rational
+"cores", built from a closed formula, with an exact normalization n2 such
+that the harmonic equals sqrt(n2 / pi) * (re_core + i * im_core).  This
+makes harmonicity and orthonormality checkable in exact arithmetic;
+float-coefficient polynomials are derived for numerical evaluation.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,42 +99,38 @@ _INTEGER_TABLE = {
     ],
 }
 
-# Orthonormal table: (rational core, n2) with polynomial = sqrt(n2/pi) * core.
+# Orthonormal table: the rational cores; the polynomial is sqrt(n2/pi) * core
+# with n2 = 1 / sphere_inner_over_pi(core, core).
 _ORTHONORMAL_TABLE = {
-    0: [(_p({(0, 0, 0): 1}), _F(1, 4))],
-    1: [
-        (_p({(1, 0, 0): 1}), _F(3, 4)),
-        (_p({(0, 1, 0): 1}), _F(3, 4)),
-        (_p({(0, 0, 1): 1}), _F(3, 4)),
-    ],
+    0: _INTEGER_TABLE[0],
+    1: _INTEGER_TABLE[1],
     2: [
-        (_p({(1, 1, 0): 1}), _F(15, 4)),
-        (_p({(0, 1, 1): 1}), _F(15, 4)),
-        (_p({(1, 0, 1): 1}), _F(15, 4)),
-        (_p({(2, 0, 0): 1, (0, 2, 0): -2, (0, 0, 2): 1}), _F(5, 16)),
-        (_p({(2, 0, 0): 1, (0, 0, 2): -1}), _F(15, 16)),
+        _p({(1, 1, 0): 1}),
+        _p({(0, 1, 1): 1}),
+        _p({(1, 0, 1): 1}),
+        _p({(2, 0, 0): 1, (0, 2, 0): -2, (0, 0, 2): 1}),
+        _p({(2, 0, 0): 1, (0, 0, 2): -1}),
     ],
     3: [
-        (_p({(3, 0, 0): 1, (1, 2, 0): -3}), _F(35, 32)),
-        (_p({(2, 1, 0): -3, (0, 3, 0): 1}), _F(35, 32)),
-        (_p({(3, 0, 0): 1, (1, 2, 0): 1, (1, 0, 2): -4}), _F(21, 32)),
-        (_p({(2, 0, 1): -3, (0, 0, 3): 1}), _F(35, 32)),
-        (_p({(2, 1, 0): 1, (0, 3, 0): 1, (0, 1, 2): -4}), _F(21, 32)),
-        (_p({(2, 0, 1): 1, (0, 2, 1): -4, (0, 0, 3): 1}), _F(21, 32)),
-        (_p({(1, 1, 1): 1}), _F(105, 4)),
+        _p({(3, 0, 0): 1, (1, 2, 0): -3}),
+        _p({(2, 1, 0): -3, (0, 3, 0): 1}),
+        _p({(3, 0, 0): 1, (1, 2, 0): 1, (1, 0, 2): -4}),
+        _p({(2, 0, 1): -3, (0, 0, 3): 1}),
+        _p({(2, 1, 0): 1, (0, 3, 0): 1, (0, 1, 2): -4}),
+        _p({(2, 0, 1): 1, (0, 2, 1): -4, (0, 0, 3): 1}),
+        _p({(1, 1, 1): 1}),
     ],
     4: [
-        (_p({(4, 0, 0): 1, (2, 2, 0): -6, (0, 4, 0): 1}), _F(315, 256)),
-        (_p({(4, 0, 0): 7, (0, 4, 0): -1, (0, 0, 4): 8, (2, 2, 0): 6, (2, 0, 2): -48}),
-         _F(5, 256)),
-        (_p({(4, 0, 0): -1, (0, 4, 0): 4, (0, 2, 2): -27, (0, 0, 4): 4,
-             (2, 2, 0): 3, (2, 0, 2): 3}), _F(1, 16)),
-        (_p({(3, 1, 0): 1, (1, 3, 0): -1}), _F(315, 16)),
-        (_p({(3, 0, 1): 1, (1, 0, 3): -1}), _F(315, 16)),
-        (_p({(0, 3, 1): 1, (0, 1, 3): -1}), _F(315, 16)),
-        (_p({(2, 1, 1): 6, (0, 3, 1): -1, (0, 1, 3): -1}), _F(45, 16)),
-        (_p({(3, 0, 1): -1, (1, 2, 1): 6, (1, 0, 3): -1}), _F(45, 16)),
-        (_p({(3, 1, 0): -1, (1, 3, 0): -1, (1, 1, 2): 6}), _F(45, 16)),
+        _p({(4, 0, 0): 1, (2, 2, 0): -6, (0, 4, 0): 1}),
+        _p({(4, 0, 0): 7, (0, 4, 0): -1, (0, 0, 4): 8, (2, 2, 0): 6, (2, 0, 2): -48}),
+        _p({(4, 0, 0): -1, (0, 4, 0): 4, (0, 2, 2): -27, (0, 0, 4): 4,
+            (2, 2, 0): 3, (2, 0, 2): 3}),
+        _p({(3, 1, 0): 1, (1, 3, 0): -1}),
+        _p({(3, 0, 1): 1, (1, 0, 3): -1}),
+        _p({(0, 3, 1): 1, (0, 1, 3): -1}),
+        _p({(2, 1, 1): 6, (0, 3, 1): -1, (0, 1, 3): -1}),
+        _p({(3, 0, 1): -1, (1, 2, 1): 6, (1, 0, 3): -1}),
+        _p({(3, 1, 0): -1, (1, 3, 0): -1, (1, 1, 2): 6}),
     ],
 }
 
@@ -156,17 +152,12 @@ class HarmonicBasis:
     norms2: tuple | None = None
 
 
-def monomials_of_degree(n, nvars=3):
-    """All exponent tuples of total degree n, sorted reverse-lexicographically."""
+def monomials_of_degree(n):
+    """The exponent triples (a, b, c) of total degree n in strictly
+    decreasing lexicographic order: a from n down, then b from n - a down."""
     if n < 0:
         raise ValueError("degree must be non-negative, got %d" % n)
-    out = []
-    for combo in itertools.combinations_with_replacement(range(nvars), n):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return sorted(set(out), reverse=True)
+    return [(a, b, n - a - b) for a in range(n, -1, -1) for b in range(n - a, -1, -1)]
 
 
 def harmonic_nullspace_basis(n):
@@ -181,7 +172,7 @@ def harmonic_nullspace_basis(n):
     with the free coefficient n!, of which v[a,b,c] is an integer multiple
     of n!/a!, so every division is exact.
     """
-    monos = monomials_of_degree(n, 3)
+    monos = monomials_of_degree(n)
     pivots = [e for e in reversed(monos) if e[0] >= 2]      # a up
     basis = []
     for free in (e for e in monos if e[0] < 2):
@@ -206,14 +197,12 @@ def real_basis(n, style="integer"):
     if n < 0:
         raise ValueError("degree must be non-negative")
     if style == "integer":
-        if n in _INTEGER_TABLE:
-            polys = list(_INTEGER_TABLE[n])
-        else:
-            polys = harmonic_nullspace_basis(n)
+        polys = _INTEGER_TABLE[n] if n in _INTEGER_TABLE else harmonic_nullspace_basis(n)
         return HarmonicBasis(n, "integer", tuple(polys), tuple(polys))
     if style == "orthonormal":
         if n in _ORTHONORMAL_TABLE:
-            cores, norms2 = zip(*_ORTHONORMAL_TABLE[n])
+            cores = _ORTHONORMAL_TABLE[n]
+            norms2 = [1 / sphere_inner_over_pi(c, c) for c in cores]
         else:
             # order m = i - n: the cos(m phi) part of H_n^|m| for m >= 0, the
             # sin(|m| phi) part for m < 0; each has half of |H_n^m|^2 if m != 0
@@ -352,7 +341,7 @@ def monomial_expansion(n):
 
     Returns (monomial list, complex array of shape (n_monomials, 2n+1)).
     """
-    monos = monomials_of_degree(n, 3)
+    monos = monomials_of_degree(n)
     hs = complex_solid_harmonics(n)
     C, _ = coefficient_matrix([h.re for h in hs] + [h.im for h in hs], monos)
     return monos, np.ascontiguousarray((C[:len(hs)] + 1j * C[len(hs):]).T)

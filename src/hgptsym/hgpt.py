@@ -11,9 +11,10 @@ What depends only on its inputs is computed once and kept read-only:
 - D_p(R), element 0 of the one-element stack R in the memo of float
   actions that group stacks share (``invariants._float_actions``), keyed by
   the degree-p space and R's float64 bytes, for the ``MEMO`` most recently
-  used keys; the span-residual check runs on every computation, and a
-  rejected R (not orthogonal, or with a nan or inf entry, at every degree)
-  raises every time and is never kept;
+  used keys; the span-residual check runs on every computation and rejects
+  an R with a nan or inf entry or one that moves the degree-p harmonics out
+  of their span (not 2 I, nor any finite R at p <= 1: ``rotate`` assumes R
+  orthogonal), which raises every time and is never kept;
 - the basis change A_n of each (degree, style) and its conjugate transpose
   A_n^H (``harmonics.basis_change``, ``matrix`` and ``adjoint``);
 - the scaled I-vectors K_n(x) = I_n(x) / |x|^(2n+1) of ``forward_voltage``,
@@ -118,8 +119,8 @@ class GptCoefficients:
     values: dict
 
     def matrix(self):
-        mp = monomials_of_degree(self.p, 3)
-        mq = monomials_of_degree(self.q, 3)
+        mp = monomials_of_degree(self.p)
+        mq = monomials_of_degree(self.q)
         G = np.zeros((len(mp), len(mq)))
         for a_idx, a in enumerate(mp):
             for b_idx, b in enumerate(mq):

@@ -172,7 +172,7 @@ def _read_only(a):
 
 @cache
 def harmonic_space(p, style="integer"):
-    monos = tuple(monomials_of_degree(p, 3))
+    monos = tuple(monomials_of_degree(p))
     N, den = coefficient_matrix(real_basis(p, style).polynomials, monos)
     return RepresentationSpace("harmonic", p, None, style,
                                tuple((i,) for i in range(-p, p + 1)), monos,
@@ -241,10 +241,10 @@ def _substitution_plan(k):
     its first variable and g its parent of degree k-1, held as ``parent``
     and ``var``; the 0/1 matrix U of shape (3 m_{k-1}, m_k) sends x_j x^h,
     flattened as (j, h), to its column.  Read-only."""
-    prev = {g: h for h, g in enumerate(monomials_of_degree(k - 1, 3))}
+    prev = {g: h for h, g in enumerate(monomials_of_degree(k - 1))}
     # (j, h) for each x_j x^h = x^e, in the order of j
     down = [[(j, prev[e[:j] + (e[j] - 1,) + e[j + 1:]]) for j in range(3) if e[j]]
-            for e in monomials_of_degree(k, 3)]
+            for e in monomials_of_degree(k)]
     U = np.zeros((3, len(prev), len(down)), dtype=int)
     for c, steps in enumerate(down):
         U[tuple(zip(*steps)) + (c,)] = 1
@@ -447,13 +447,21 @@ def invariant_subspace(space, group, trace_tol=TRACE_TOL):
     """Dimension and canonical basis of the subspace fixed by the group.
 
     A float projector's trace must lie within ``trace_tol`` of an integer.
+    A ``RuntimeError`` of the float path on the integer style above degree 4,
+    where that basis is ill-conditioned, is raised again with a hint.
     """
     check_trace_tol(trace_tol)
-    M = np.asarray(averaging_projector(space, group))   # Fractions -> object dtype
-    m = _integer(M.trace(), "projector trace", trace_tol)
-    if m == 0:
-        return InvariantSubspace(space, group.name, 0, (), ())
-    rows = M[_select_independent_rows(M, m)]
+    try:
+        M = np.asarray(averaging_projector(space, group))   # Fractions -> object dtype
+        m = _integer(M.trace(), "projector trace", trace_tol)
+        if m == 0:
+            return InvariantSubspace(space, group.name, 0, (), ())
+        rows = M[_select_independent_rows(M, m)]
+    except RuntimeError as exc:
+        if space.style != "integer" or group.is_rational or max(space.p, space.q or 0) <= 4:
+            raise
+        raise RuntimeError("%s; the integer style is ill-conditioned at this degree, "
+                           "use the orthonormal style (--style orthonormal)" % exc) from exc
     return InvariantSubspace(space, group.name, m, *_canonical_basis(space, rows))
 
 

@@ -314,41 +314,24 @@ def kelvin_harmonicize(q, m):
 
     ``q`` must be homogeneous of degree ``m`` in 3 variables.  The result is
     homogeneous of degree m, harmonic, and canonicalized (content 1,
-    lexicographically-leading coefficient positive).
+    lexicographically-leading coefficient positive).  By Hobson's theorem it
+    is (-1)^m (2m-1)!! times the harmonic projection sum_k c_k r^(2k) L^k q
+    of q, over the powers L^k of the Laplacian with k <= m/2, c_0 = 1 and
+    c_(k+1) = -c_k / ((2k+2)(2m-2k-1)); the sum is taken by Horner in r^2,
+    and canonicalizing drops the constant factor.
     """
     if q.nvars != 3:
         raise ValueError("variable-count mismatch: need 3 variables")
     if not q.is_homogeneous() or (not q.is_zero() and q.degree() != m):
         raise ValueError("q must be homogeneous of degree %d" % m)
-    r2 = (Polynomial.variable(0) ** 2 + Polynomial.variable(1) ** 2
-          + Polynomial.variable(2) ** 2)
-
-    # Represent rational functions P(x)/r^n as (P, n); differentiate within
-    # that family: d_i(P/r^n) = ((d_i P) r^2 - n x_i P)/r^(n+2).
-    def deriv(P, n, i):
-        return P.diff(i) * r2 - (n * Polynomial.variable(i)) * P, n + 2
-
-    cache = {(0, 0, 0): (Polynomial.one(3), 1)}
-
-    def partial(exps):
-        if exps in cache:
-            return cache[exps]
-        for i in range(3):
-            if exps[i] > 0:
-                prev = list(exps)
-                prev[i] -= 1
-                P, n = partial(tuple(prev))
-                cache[exps] = deriv(P, n, i)
-                return cache[exps]
-        raise AssertionError
-
-    out = Polynomial.zero(3)
-    for exps, c in q.terms.items():
-        P, n = partial(exps)
-        assert n == 2 * m + 1
-        out = out + c * P
-    poly, _ = out.canonicalized()
-    return poly
+    r2 = Polynomial({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, 3)
+    laplacians = [q]
+    for _ in range(m // 2):
+        laplacians.append(laplacians[-1].laplacian())
+    out = laplacians.pop()
+    for k in range(len(laplacians) - 1, -1, -1):
+        out = laplacians[k] + r2 * out * Fraction(-1, (2 * k + 2) * (2 * m - 2 * k - 1))
+    return out.canonicalized()[0]
 
 
 # ---------------------------------------------------------------------------

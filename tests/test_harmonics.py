@@ -50,9 +50,17 @@ class TestRealBases:
                 else:
                     assert inner == 0
 
+    @pytest.mark.parametrize("n", range(41))
+    def test_monomials_of_degree(self, n):
+        # each exponent triple of total degree n once, strictly decreasing
+        monos = H.monomials_of_degree(n)
+        assert len(monos) == (n + 1) * (n + 2) // 2
+        assert all(len(e) == 3 and min(e) >= 0 and sum(e) == n for e in monos)
+        assert all(a > b for a, b in zip(monos, monos[1:]))
+
     def test_integer_basis_independence(self, rng):
         basis = H.real_basis(5, "integer")
-        monos = H.monomials_of_degree(5, 3)
+        monos = H.monomials_of_degree(5)
         index = {e: i for i, e in enumerate(monos)}
         A = np.zeros((11, len(monos)))
         for i, p in enumerate(basis.polynomials):
@@ -64,9 +72,9 @@ class TestRealBases:
     def test_recursion_gives_the_laplacian_null_space_basis(self, n):
         # the canonicalized null-space basis of the Laplacian's matrix, from
         # its row echelon form
-        monos = H.monomials_of_degree(n, 3)
+        monos = H.monomials_of_degree(n)
         L, _ = coefficient_matrix([Polynomial({e: 1}, 3).laplacian() for e in monos],
-                                  H.monomials_of_degree(n - 2, 3) if n >= 2 else [(0, 0, 0)])
+                                  H.monomials_of_degree(n - 2) if n >= 2 else [(0, 0, 0)])
         want = [Polynomial(dict(zip(monos, v)), 3).canonicalized()[0]
                 for v in rational_nullspace(L.T)]
         assert H.harmonic_nullspace_basis(n) == want
@@ -174,7 +182,7 @@ class TestBasisChange:
 def _basis_change_from_terms(n, style):
     """``a`` of basis_change with the complex target written out from the
     solid harmonics' real and imaginary terms."""
-    monos = H.monomials_of_degree(n, 3)
+    monos = H.monomials_of_degree(n)
     index = {e: i for i, e in enumerate(monos)}
     N, den = coefficient_matrix(H.real_basis(n, style).polynomials, monos)
     BI = np.array(N / den, dtype=complex)

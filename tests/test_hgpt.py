@@ -61,8 +61,8 @@ class TestCgptConversion:
 class TestGptConversion:
     def _brute_force(self, G, p, q, style="orthonormal"):
         """Direct quadruple sum over alpha, beta, m, n."""
-        mp = monomials_of_degree(p, 3)
-        mq = monomials_of_degree(q, 3)
+        mp = monomials_of_degree(p)
+        mq = monomials_of_degree(q)
         _, AMHp = monomial_expansion(p)
         _, AMHq = monomial_expansion(q)
         aIHp = basis_change(p, style).matrix.conj().T  # [i, m]
@@ -82,7 +82,7 @@ class TestGptConversion:
         return N
 
     def test_matches_brute_force(self, rng):
-        mp = monomials_of_degree(1, 3)
+        mp = monomials_of_degree(1)
         vals = {(a, b): float(rng.normal()) for a in mp for b in mp}
         G = hgpt.GptCoefficients(1, 1, vals)
         N, residue = hgpt.hgpt_from_gpt(G)
@@ -92,7 +92,7 @@ class TestGptConversion:
         assert residue < 1e-12
 
     def test_isotropic_gives_scalar_matrix(self):
-        mp = monomials_of_degree(1, 3)
+        mp = monomials_of_degree(1)
         G = hgpt.GptCoefficients(1, 1, {(a, b): float(a == b)
                                         for a in mp for b in mp})
         N, _ = hgpt.hgpt_from_gpt(G)
@@ -100,7 +100,7 @@ class TestGptConversion:
         assert N.entries[0, 0] == pytest.approx(1 / (12 * math.pi))
 
     def test_diagonal_polya_szego(self):
-        mp = monomials_of_degree(1, 3)
+        mp = monomials_of_degree(1)
         d = {(1, 0, 0): 2.0, (0, 1, 0): 3.0, (0, 0, 1): 5.0}
         G = hgpt.GptCoefficients(1, 1, {(a, b): (d[a] if a == b else 0.0)
                                         for a in mp for b in mp})
@@ -109,7 +109,7 @@ class TestGptConversion:
         assert np.max(np.abs(N.entries - want)) < 1e-12
 
     def test_zero_and_missing_entries(self):
-        mp = monomials_of_degree(1, 3)
+        mp = monomials_of_degree(1)
         G = hgpt.GptCoefficients(1, 1, {(a, b): 0.0 for a in mp for b in mp})
         N, _ = hgpt.hgpt_from_gpt(G)
         assert np.max(np.abs(N.entries)) == 0

@@ -452,6 +452,24 @@ class TestMolien:
     def test_invariant_harmonics_of_i_at_degree_24_in_the_orthonormal_style(self):
         assert inv.invariant_harmonics(sg.build_group("I"), 24, "orthonormal").dimension == 1
 
+    def test_integer_style_failure_at_degree_38_names_the_orthonormal_style(self):
+        with pytest.raises(RuntimeError, match=r"^composed polynomial not in the span "
+                           r"\(residual .*\); .*the orthonormal style \(--style orthonormal\)$"):
+            inv.invariant_harmonics(sg.build_group("C5"), 38)
+
+    @pytest.mark.parametrize("group, degree, style, hint", [
+        ("C5", 5, "integer", True), ("C5", 4, "integer", False),
+        ("C5", 5, "orthonormal", False), ("C4", 5, "integer", False)])
+    def test_only_the_integer_float_path_above_degree_four_adds_the_hint(
+            self, monkeypatch, group, degree, style, hint):
+        def fail(space, group):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(inv, "averaging_projector", fail)
+        with pytest.raises(RuntimeError) as info:
+            inv.invariant_subspace(inv.harmonic_space(degree, style), sg.build_group(group))
+        assert str(info.value).startswith("boom")
+        assert ("orthonormal style" in str(info.value)) == hint
+
     def test_invariant_harmonics_raises_when_the_series_disagrees(self, monkeypatch):
         real = inv.molien_series
 
@@ -575,8 +593,8 @@ def _product_space_from_polynomials(p, q, style):
             basis.append(elem)
             index_map.append((i, j))
     monos = sorted({ex + ey for dx, dy in {(p, q), (q, p)}
-                    for ex in monomials_of_degree(dx, 3)
-                    for ey in monomials_of_degree(dy, 3)}, reverse=True)
+                    for ex in monomials_of_degree(dx)
+                    for ey in monomials_of_degree(dy)}, reverse=True)
     index = {e: k for k, e in enumerate(monos)}
     rows = []
     for b in basis:
@@ -880,7 +898,7 @@ class TestBatchedActions:
     @pytest.mark.parametrize("m", range(13))
     def test_monomial_values_match_direct_evaluation(self, m, rng):
         # Sym^m(R) carries the degree-m monomials at x to their values at R x
-        monos = monomials_of_degree(m, 3)
+        monos = monomials_of_degree(m)
         E = np.array(monos).reshape(-1, 3)
         S = np.stack([random_rotation(rng) * s for s in (1.0, -1.0, 0.5)])
         X = rng.normal(size=(7, 3))
@@ -941,14 +959,14 @@ class TestSubstitutionMatrices:
     @pytest.mark.parametrize("p", range(9))
     def test_identity_gives_identity(self, p):
         T = inv.substitution_matrices(np.identity(3)[None], p)
-        assert np.array_equal(T[0], np.identity(len(monomials_of_degree(p, 3))))
+        assert np.array_equal(T[0], np.identity(len(monomials_of_degree(p))))
 
     @pytest.mark.parametrize("p", range(7))
     def test_signed_permutations_match_compose_linear_bit_for_bit(self, p):
         # every element of O is a signed permutation, so each coefficient of
         # (Rx)^e is an exact integer in floats too
         g = sg.build_group("O")
-        monos = monomials_of_degree(p, 3)
+        monos = monomials_of_degree(p)
         T = inv.substitution_matrices(g.stack, p)
         for k, E in enumerate(g.exact_elements):
             C, den = coefficient_matrix([Polynomial({e: 1}, 3).compose_linear(E)

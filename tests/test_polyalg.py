@@ -1,5 +1,6 @@
 """Exact sparse polynomial arithmetic and rational linear algebra."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import proportional, rational_nullspace, u1, u2, u3
+from hgptsym.harmonics import monomials_of_degree
 from hgptsym.polyalg import (Polynomial, _snap, coefficient_matrix, kelvin_harmonicize,
                              rational_rref, zero_tolerance)
 
@@ -169,6 +171,21 @@ class TestKelvin:
         # r^2-multiples operate to zero
         r2 = u1 ** 2 + u2 ** 2 + u3 ** 2
         assert kelvin_harmonicize(r2, 2).is_zero()
+
+    def test_texts_pinned(self):
+        # the texts for every monomial of degree m <= 10 and for ten seeded
+        # rational combinations of them per degree
+        rng = random.Random(23)
+        digest = hashlib.sha256()
+        for m in range(11):
+            monos = monomials_of_degree(m)
+            qs = [Polynomial({e: 1}, 3) for e in monos]
+            qs += [Polynomial({e: Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for e in monos}, 3)
+                   for _ in range(10)]
+            for q in qs:
+                digest.update((kelvin_harmonicize(q, m).to_text() + "\n").encode())
+        assert digest.hexdigest() == \
+            "acb0854ed6c4f5223a9ddb187ef37cb5c016d26084ce929b178b45404149e0a4"
 
 
 class TestRationalLinearAlgebra:
