@@ -7,21 +7,23 @@ indices by i -> i + p.  This module converts between the complex (CGPT)
 and real (HGPT) compactions, applies the scaling and rotation laws,
 enforces symmetry patterns, and evaluates the forward voltage model.
 
-What depends only on its inputs is computed once and kept read-only:
+What depends only on its inputs is computed once and kept read-only, and
+each value is checked where it is made, so a lookup that hits pays for no
+check and a rejected input raises every time and is never kept:
 - D_p(R), element 0 of the one-element stack R in the memo of float
   actions that group stacks share (``invariants._float_actions``), keyed by
   the degree-p space and R's float64 bytes, for the ``MEMO`` most recently
-  used keys; the span-residual check runs on every computation and rejects
-  an R with a nan or inf entry or one that moves the degree-p harmonics out
-  of their span (not 2 I, nor any finite R at p <= 1: ``rotate`` assumes R
-  orthogonal), which raises every time and is never kept;
+  used keys; it refuses an R with a nan or inf entry or one that moves the
+  degree-p harmonics out of their span (the span-residual check), and then
+  one that is not orthogonal, max |R^T R - I| above ``symgroups.MATCH_TOL``
+  (a shear at p = 1, or 2 I at any degree);
 - the basis change A_n of each (degree, style) and its conjugate transpose
   A_n^H (``harmonics.basis_change``, ``matrix`` and ``adjoint``);
 - the scaled I-vectors K_n(x) = I_n(x) / |x|^(2n+1) of ``forward_voltage``,
   keyed by (n, style, x), for the ``MEMO`` most recently used keys: the
   coefficient matrix B of the degree-n harmonic space times the degree-n
-  monomial values at x, over |x|^(2n+1); a point is checked before every
-  lookup, and a rejected one is never kept;
+  monomial values at x, over |x|^(2n+1); it refuses a point whose
+  |x|^(2n+1) is not a normal float (1e-120 or 1e110 at n = 1);
 - the orthonormal span basis Q of a coefficient pattern
   (``CoefficientPattern.span_basis``), once per pattern, which
   ``apply_pattern`` projects with.
@@ -30,7 +32,8 @@ So a call is a few lookups and the products of its formula: D_p^T N D_q
 (``rotate``), A_p^H M A_q and A_p N A_q^H (the CGPT conversions), Q (Q^T n)
 on the flattened block (``apply_pattern``), and sum K_r N K_s over the
 blocks (``forward_voltage``, which converts each point once to three
-Python floats and checks it).  The operands are 1 x 1 to 13 x 13, where
+Python floats, rejects one that is not finite or at the origin, and a sum
+that is not finite).  The operands are 1 x 1 to 13 x 13, where
 numpy's call overhead outweighs the arithmetic, so the products are
 ``ndarray.dot`` chains, about half the cost of ``@`` chains there.  Every
 block, given or computed, passes the one finite check of ``HgptMatrix``.
@@ -130,10 +133,6 @@ class GptCoefficients:
         return G
 
 
-def _changes(p, q, style):
-    return basis_change(p, style), basis_change(q, style)
-
-
 def hgpt_from_cgpt(M, style="orthonormal"):
     """N_pq from a CGPT block: conjugate by the real<->complex basis changes
     of degrees p and q in ``style``.
@@ -142,14 +141,13 @@ def hgpt_from_cgpt(M, style="orthonormal"):
     imaginary part discarded; it exceeds 1e-9 only for blocks that
     did not come from a real-contrast problem.
     """
-    A_p, A_q = _changes(M.p, M.q, style)
-    N = A_p.adjoint.dot(M.entries).dot(A_q.matrix)
+    N = basis_change(M.p, style).adjoint.dot(M.entries).dot(basis_change(M.q, style).matrix)
     return HgptMatrix(M.p, M.q, N.real, style), float(abs(N.imag).max())
 
 
 def cgpt_from_hgpt(N):
     """Inverse of hgpt_from_cgpt (unitary changes in the orthonormal style)."""
-    A_p, A_q = _changes(N.p, N.q, N.basis_style)
+    A_p, A_q = basis_change(N.p, N.basis_style), basis_change(N.q, N.basis_style)
     return CgptMatrix(N.p, N.q, A_p.matrix.dot(N.entries).dot(A_q.adjoint))
 
 
@@ -164,7 +162,7 @@ def hgpt_from_gpt(G, style="orthonormal"):
     Gm = G.matrix()
     _, AMHp = monomial_expansion(p)
     _, AMHq = monomial_expansion(q)
-    A_p, A_q = _changes(p, q, style)
+    A_p, A_q = basis_change(p, style), basis_change(q, style)
     Mc = AMHp.conj().T @ Gm @ AMHq
     # W_p = A_p^H: rows real index i, columns order m
     N = A_p.adjoint @ Mc @ A_q.matrix / ((2 * p + 1) * (2 * q + 1))
@@ -198,23 +196,29 @@ def rotation_matrix(p, R, style="orthonormal"):
 def rotate(N, R):
     """Rotation law: the block of the rotated object R(B) is D_p(R)^T N D_q(R),
     so that sum_ij I_p^i(x) N'_ij I_q^j(y) = sum_ij I_p^i(Rx) N_ij I_q^j(Ry)."""
-    Dp = rotation_matrix(N.p, R, N.basis_style)
-    Dq = Dp if N.q == N.p else rotation_matrix(N.q, R, N.basis_style)
+    Dp, Dq = rotation_matrix(N.p, R, N.basis_style), rotation_matrix(N.q, R, N.basis_style)
     return HgptMatrix(N.p, N.q, Dp.T.dot(N.entries).dot(Dq), N.basis_style)
 
 
 @lru_cache(maxsize=MEMO)
 def _kvector(n, style, x):
-    """K_n(x) = I_n(x) / |x|^(2n+1), read-only, for a finite point x away from
-    the origin: I_n(x) = B m(x), B the coefficient matrix of the degree-n
-    harmonic space, m(x) the degree-n monomial values, one degree at a time
-    in Python floats, x^e = x_i x^g (``invariants._substitution_plan``)."""
+    """K_n(x) = I_n(x) / |x|^(2n+1), read-only, for a finite point x whose
+    |x|^(2n+1) is a normal float (else ``ValueError``, and nothing is kept):
+    I_n(x) = B m(x), B the coefficient matrix of the degree-n harmonic
+    space, m(x) the degree-n monomial values, one degree at a time in Python
+    floats, x^e = x_i x^g (``invariants._substitution_plan``)."""
+    try:
+        r = _norm(x) ** (2 * n + 1)
+    except OverflowError:
+        r = math.inf
+    if not sys.float_info.min <= r <= sys.float_info.max:
+        raise ValueError("source and receiver must be away from the origin, with |x|^%d "
+                         "a normal float: it is %g for x = %r" % (2 * n + 1, r, x))
     m = [1.0]
     for k in range(1, n + 1):
         parent, var, _ = invariants._substitution_plan(k)
         m = [x[i] * m[g] for i, g in zip(var.tolist(), parent.tolist())]
-    return _read_only(invariants.harmonic_space(n, style).coefficients @ np.array(m)
-                      / _norm(x) ** (2 * n + 1))
+    return _read_only(invariants.harmonic_space(n, style).coefficients @ np.array(m) / r)
 
 
 def _norm(x):
@@ -233,26 +237,26 @@ def forward_voltage(blocks, x_r, x_s):
     """Truncated voltage V_sr = sum_pq I_rp N_pq I_sq^T / (|x_r|^(2p+1) |x_s|^(2q+1)).
 
     ``blocks`` is an iterable of HgptMatrix; the I-vectors evaluate the same
-    real basis that indexes each block.  Each call looks up K_n = I_n /
-    |x|^(2n+1) once per (degree, style, point), from a memo of the ``MEMO``
-    most recently used; the points are checked on every call (exactly three
-    finite coordinates, away from the origin), before any lookup, so a
-    rejected point is never kept.
+    real basis that indexes each block.  K_n = I_n / |x|^(2n+1) is computed
+    once per (degree, style, point) and then looked up, from a memo of the
+    ``MEMO`` most recently used.  A point without exactly three finite
+    coordinates, or at the origin, raises ``ValueError`` before any lookup;
+    one whose |x|^(2n+1) is not a normal float (such as 1e-120 or 1e110 at
+    n = 1) raises where its K_n would be computed, and is never kept; and a
+    voltage that is not finite raises ``ValueError``.
     """
     x_r, x_s = _point(x_r), _point(x_s)
     if not all(map(math.isfinite, x_r + x_s)):
         raise ValueError("source and receiver must be finite points")
     if _norm(x_r) == 0.0 or _norm(x_s) == 0.0:
         raise ValueError("source and receiver must be away from the origin")
-    Kr, Ks = {}, {}
     total = 0.0
     for N in blocks:
-        kr, ks = (N.p, N.basis_style), (N.q, N.basis_style)
-        if kr not in Kr:
-            Kr[kr] = _kvector(N.p, N.basis_style, x_r)
-        if ks not in Ks:
-            Ks[ks] = _kvector(N.q, N.basis_style, x_s)
-        total += float(Kr[kr].dot(N.entries).dot(Ks[ks]))
+        total += _kvector(N.p, N.basis_style, x_r).dot(N.entries).dot(
+            _kvector(N.q, N.basis_style, x_s))
+    total = float(total)
+    if not math.isfinite(total):
+        raise ValueError("the voltage is not finite: the blocks overflow at these points")
     return total
 
 

@@ -59,6 +59,7 @@ import numpy as np
 from .harmonics import monomials_of_degree, real_basis
 from .polyalg import (RTOL, Polynomial, _snap, coefficient_matrix, integer_matrix,
                       is_rational, rational_rref, zero_tolerance)
+from .symgroups import MATCH_TOL
 
 _F = Fraction
 
@@ -321,9 +322,15 @@ def _float_actions(space, entries):
     """D(R) for each R of the float64 (n, 3, 3) stack whose bytes are
     ``entries``, on a harmonic space: the read-only (n, d, d) float stack,
     kept for the ``MEMO`` most recently used (space, entries).  A stack the
-    span check rejects raises on every call and is never kept."""
+    span check rejects, or then one with an element R whose max |R^T R - I|
+    exceeds ``MATCH_TOL``, raises on every call and is never kept."""
     S = np.frombuffer(entries).reshape(-1, 3, 3)
-    return _read_only(np.ascontiguousarray(_harmonic_action(space, S)[0]))
+    D = _harmonic_action(space, S)[0]
+    orth = np.abs(S.transpose(0, 2, 1) @ S - np.eye(3)).max(initial=0.0)
+    if orth > MATCH_TOL:
+        raise ValueError("an element R is not orthogonal: max |R^T R - I| is %.3g, above %g"
+                         % (orth, MATCH_TOL))
+    return _read_only(np.ascontiguousarray(D))
 
 
 def action_stack(space, group):

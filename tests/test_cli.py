@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from hgptsym import cli
+from hgptsym import cli, hgpt
 
 
 def run(capsys, argv):
@@ -273,6 +274,18 @@ class TestErrors:
                                       "--source", "nan,0,2", "--receiver", "0,0,2"])
         assert code == 1 and out == ""
         assert "finite" in err
+
+    def test_a_point_near_the_origin_is_an_error_without_warnings(self, capsys, tmp_path):
+        path = tmp_path / "blocks.json"
+        path.write_text('{"blocks": [{"p": 1, "q": 1, "entries": [2, 0, 0, 0, 2, 0, 0, 0, 7]}]}')
+        size = hgpt._kvector.cache_info().currsize
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["forward", "--blocks", str(path), "--format", "json",
+                                          "--source", "1e-120,0,0", "--receiver", "0,0,1e-120"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "away from the origin" in err
+        assert hgpt._kvector.cache_info().currsize == size
 
 
 def _dumps(doc):

@@ -201,6 +201,26 @@ class TestRotate:
         assert after.currsize == before.currsize
 
     @pytest.mark.parametrize("style", ["orthonormal", "integer"])
+    @pytest.mark.parametrize("p, q, R", [
+        (1, 1, [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),   # a shear, in the span
+        (2, 2, 2 * np.eye(3)), (0, 2, 2 * np.eye(3)), (0, 0, -np.eye(3) * (1 + 1e-8))])
+    def test_a_matrix_in_the_span_that_is_not_orthogonal_raises_every_time(self, p, q, R,
+                                                                           style):
+        N = hgpt.HgptMatrix(p, q, np.eye(2 * p + 1, 2 * q + 1), style)
+        before = inv._float_actions.cache_info()
+        for _ in range(2):
+            for call in (lambda: hgpt.rotate(N, R), lambda: hgpt.rotation_matrix(p, R, style)):
+                with pytest.raises(ValueError, match="not orthogonal"):
+                    call()
+        after = inv._float_actions.cache_info()
+        assert (after.hits, after.currsize) == (before.hits, before.currsize)
+
+    def test_orthogonal_within_the_group_tolerance_is_accepted(self):
+        R = np.eye(3)
+        R[0, 0] += sg.MATCH_TOL / 4
+        assert hgpt.rotation_matrix(1, R).shape == (3, 3)
+
+    @pytest.mark.parametrize("style", ["orthonormal", "integer"])
     @pytest.mark.parametrize("p", [1, 2, 6])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_matrix_raises_every_time(self, bad, p, style):
@@ -279,6 +299,33 @@ class TestForwardVoltage:
             with pytest.raises(ValueError, match="three coordinates"):
                 hgpt.forward_voltage(blocks, *args)
         assert hgpt._kvector.cache_info() == before
+
+    def test_voltages_pinned(self):
+        """Seeded voltages, bit for bit: the order of the sum over the blocks and
+        of each product K_r N K_s is part of the result."""
+        rng = np.random.default_rng(24)
+        got = []
+        for style in ("orthonormal", "integer"):
+            blocks = [hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)), style)
+                      for p, q in BLOCKS + [(6, 6), (6, 1)]]
+            for _ in range(3):
+                x_r, x_s = (tuple(rng.normal(size=3) * 2.5) for _ in range(2))
+                for _ in range(2):          # computed, then memoised
+                    v = hgpt.forward_voltage(blocks, x_r, x_s)
+                got.append(v.hex())
+        assert got == ["0x1.2ed1263039dbcp-8", "0x1.413dfbfa7038dp-6", "0x1.5e7a978d7d664p-10",
+                       "-0x1.b76ca4fc98c02p-5", "-0x1.cc780590c60adp-6", "-0x1.a330aa1797baap-4"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("blocks, x", [
+        ([hgpt.HgptMatrix(1, 1, np.full((3, 3), 1e300))], (1e-100, 0.0, 0.0)),
+        ([hgpt.HgptMatrix(1, 1, np.full((3, 3), 1e300))], (1e-100, 1e-100, 1e-100)),
+        ([hgpt.HgptMatrix(0, 0, np.full((1, 1), 1e308))] * 2, (0.25, 0.0, 0.0)),   # the sum
+    ])
+    def test_a_voltage_that_overflows_raises(self, blocks, x):
+        with pytest.raises(ValueError, match="voltage is not finite"):
+            hgpt.forward_voltage(blocks, x, x)
 
     def test_rejects_origin(self):
         N = hgpt.HgptMatrix(1, 1, np.eye(3))
@@ -385,16 +432,14 @@ class TestMemos:
             got = hgpt._kvector(n, style, x)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_each_degree_is_looked_up_once_per_call(self, rng):
+    def test_each_kvector_is_computed_once(self, rng):
         blocks = [hgpt.HgptMatrix(p, q, rng.normal(size=(2 * p + 1, 2 * q + 1)))
                   for p in (1, 2) for q in (1, 2)]
         x_r, x_s = tuple(rng.normal(size=3) + 3), tuple(rng.normal(size=3) + 3)
-        for misses in (4, 0):
+        for misses in (4, 0):               # K_1, K_2 at x_r and at x_s, then none
             before = hgpt._kvector.cache_info()
             hgpt.forward_voltage(blocks, x_r, x_s)
-            after = hgpt._kvector.cache_info()
-            assert (after.hits - before.hits, after.misses - before.misses) == (4 - misses,
-                                                                                misses)
+            assert hgpt._kvector.cache_info().misses - before.misses == misses
 
     @pytest.mark.parametrize("bad", [(math.nan, 0.0, 2.0), (0.0, math.inf, 1.0),
                                      (0.0, 0.0, 0.0), (1e-200, 0.0, 0.0)])
@@ -405,6 +450,21 @@ class TestMemos:
             with pytest.raises(ValueError, match="finite|origin"):
                 hgpt.forward_voltage(blocks, *args)
         assert hgpt._kvector.cache_info() == before
+
+    @pytest.mark.parametrize("n, bad", [(1, (1e-120, 0.0, 0.0)), (1, (0.0, 1e-103, 0.0)),
+                                        (1, (1e110, 0.0, 0.0)), (3, (0.0, 0.0, 1e50)),
+                                        (1, (1e200, 1e200, 0.0))])
+    def test_a_point_whose_power_is_not_a_normal_float_is_never_kept(self, n, bad):
+        blocks = [hgpt.HgptMatrix(n, n, np.eye(2 * n + 1))]
+        hgpt._kvector(n, "orthonormal", (0.0, 0.0, 2.0))      # the good point is kept
+        size = hgpt._kvector.cache_info().currsize
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in [(bad, (0.0, 0.0, 2.0)), ((0.0, 0.0, 2.0), bad)] * 2:
+                with pytest.raises(ValueError, match="away from the origin, with "
+                                                     r"\|x\|\^%d a normal float" % (2 * n + 1)):
+                    hgpt.forward_voltage(blocks, *args)
+        assert hgpt._kvector.cache_info().currsize == size
 
     def test_memoised_arrays_are_read_only(self, rng):
         R = random_rotation(rng)
