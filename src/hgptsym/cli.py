@@ -305,25 +305,25 @@ def build_parser():
 
     p = add("harmonic-basis", cmd_harmonic_basis, help="real harmonic basis of a degree")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--style", choices=["integer", "orthonormal"], default="integer")
+    p.add_argument("--style", choices=harmonics.STYLES, default="integer")
 
     p = add("basis-change", cmd_basis_change,
             help="real-to-complex harmonic basis change matrix")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--style", choices=["integer", "orthonormal"], default="orthonormal")
+    p.add_argument("--style", choices=harmonics.STYLES, default="orthonormal")
 
     p = add("invariant-harmonics", cmd_invariant_harmonics,
             help="group-fixed harmonic polynomials of a degree")
     p.add_argument("--group", required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--style", choices=["integer", "orthonormal"], default="integer")
+    p.add_argument("--style", choices=harmonics.STYLES, default="integer")
 
     p = add("invariants", cmd_invariants,
             help="fixed subspace of S_pq and the HGPT coefficient pattern")
     p.add_argument("--group", required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--style", choices=["integer", "orthonormal"], default="integer")
+    p.add_argument("--style", choices=harmonics.STYLES, default="integer")
 
     p = add("molien", cmd_molien, help="Molien series g and harmonic series h")
     p.add_argument("--group", required=True)

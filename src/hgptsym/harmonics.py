@@ -22,7 +22,9 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .polyalg import Polynomial, coefficient_matrix
+from .polyalg import Polynomial, coefficient_matrix, read_only
+
+STYLES = ("integer", "orthonormal")     # the real basis styles
 
 _F = Fraction
 
@@ -31,23 +33,14 @@ _F = Fraction
 # Exact integration of polynomials over the unit sphere
 # ---------------------------------------------------------------------------
 
-def _double_factorial(n):
-    if n <= 0:
-        return 1
-    out = 1
-    while n > 0:
-        out *= n
-        n -= 2
-    return out
-
-
 def monomial_sphere_integral_over_pi(exps):
-    """(1/pi) * integral of x^exps over the unit sphere, as a Fraction."""
+    """(1/pi) * integral of x^exps over the unit sphere, as a Fraction:
+    4 (a-1)!! (b-1)!! (c-1)!! / (a+b+c+1)!! when a, b, c are even."""
     a, b, c = exps
     if a % 2 or b % 2 or c % 2:
         return _F(0)
-    num = 4 * _double_factorial(a - 1) * _double_factorial(b - 1) * _double_factorial(c - 1)
-    return _F(num, _double_factorial(a + b + c + 1))
+    num = 4 * math.prod(math.prod(range(k - 1, 0, -2)) for k in exps)
+    return _F(num, math.prod(range(a + b + c + 1, 0, -2)))
 
 
 def sphere_inner_over_pi(p, q):
@@ -307,9 +300,7 @@ class BasisChange:
 
     @cached_property
     def adjoint(self):
-        adjoint = self.a.conj()
-        adjoint.flags.writeable = False
-        return adjoint
+        return read_only(self.a.conj())
 
     def unitarity_residual(self):
         A = self.a
@@ -332,8 +323,7 @@ def basis_change(n, real_style="orthonormal"):
     resid = float(np.max(np.abs(BI.T @ a - A)))
     if resid > 1e-9:
         raise RuntimeError("basis-change solve residual %g too large" % resid)
-    a.flags.writeable = False
-    return BasisChange(n, real_style, a)
+    return BasisChange(n, real_style, read_only(a))
 
 
 def monomial_expansion(n):

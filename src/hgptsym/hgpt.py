@@ -49,9 +49,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import invariants
-from .harmonics import basis_change, monomial_expansion, monomials_of_degree
+from .harmonics import STYLES, basis_change, monomial_expansion, monomials_of_degree
 from .harmonics import real_basis  # noqa: F401  (the basis that indexes a block)
-from .invariants import MEMO, _read_only
+from .invariants import MEMO
+from .polyalg import read_only
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ class HgptMatrix:
         except TypeError as exc:
             raise ValueError("entries must be numbers: %s" % exc) from None
         style = d.get("basis_style", "orthonormal")
-        if style not in ("integer", "orthonormal"):
+        if style not in STYLES:
             raise ValueError('basis_style must be "integer" or "orthonormal", got %r' % (style,))
         p, q = d["p"], d["q"]
         return HgptMatrix(p, q, e.reshape(2 * p + 1, 2 * q + 1), style)
@@ -197,7 +198,9 @@ def rotate(N, R):
     """Rotation law: the block of the rotated object R(B) is D_p(R)^T N D_q(R),
     so that sum_ij I_p^i(x) N'_ij I_q^j(y) = sum_ij I_p^i(Rx) N_ij I_q^j(Ry)."""
     Dp, Dq = rotation_matrix(N.p, R, N.basis_style), rotation_matrix(N.q, R, N.basis_style)
-    return HgptMatrix(N.p, N.q, Dp.T.dot(N.entries).dot(Dq), N.basis_style)
+    with np.errstate(over="ignore", invalid="ignore"):      # HgptMatrix checks the result
+        e = Dp.T.dot(N.entries).dot(Dq)
+    return HgptMatrix(N.p, N.q, e, N.basis_style)
 
 
 @lru_cache(maxsize=MEMO)
@@ -218,7 +221,7 @@ def _kvector(n, style, x):
     for k in range(1, n + 1):
         parent, var, _ = invariants._substitution_plan(k)
         m = [x[i] * m[g] for i, g in zip(var.tolist(), parent.tolist())]
-    return _read_only(invariants.harmonic_space(n, style).coefficients @ np.array(m) / r)
+    return read_only(invariants.harmonic_space(n, style).coefficients @ np.array(m) / r)
 
 
 def _norm(x):
@@ -251,9 +254,10 @@ def forward_voltage(blocks, x_r, x_s):
     if _norm(x_r) == 0.0 or _norm(x_s) == 0.0:
         raise ValueError("source and receiver must be away from the origin")
     total = 0.0
-    for N in blocks:
-        total += _kvector(N.p, N.basis_style, x_r).dot(N.entries).dot(
-            _kvector(N.q, N.basis_style, x_s))
+    with np.errstate(over="ignore", invalid="ignore"):      # the sum is checked below
+        for N in blocks:
+            total += _kvector(N.p, N.basis_style, x_r).dot(N.entries).dot(
+                _kvector(N.q, N.basis_style, x_s))
     total = float(total)
     if not math.isfinite(total):
         raise ValueError("the voltage is not finite: the blocks overflow at these points")

@@ -11,7 +11,8 @@ and a pointwise fixedness check are float references kept by the tests.
 
 A space is its coefficient matrix B over a monomial list, held once as
 (N, den) with B = N / den (``polyalg.coefficient_matrix`` reads it off
-polynomials); its basis polynomials are read off N on demand.  S_pq is
+polynomials); its basis polynomials are read off N on demand by the
+inverse, ``polyalg.polynomials``.  S_pq is
 built from its harmonic factors: its coefficient matrix is B_p (x) B_q and
 its action D_p (x) D_q, both folded onto the basis pairs by one convention
 (``_pairs``); no 6-variable polynomial is multiplied or built.
@@ -57,8 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .harmonics import monomials_of_degree, real_basis
-from .polyalg import (RTOL, Polynomial, _snap, coefficient_matrix, integer_matrix,
-                      is_rational, rational_rref, zero_tolerance)
+from .polyalg import (RTOL, _snap, coefficient_matrix, integer_matrix, is_rational,
+                      polynomials, rational_rref, read_only, zero_tolerance)
 from .symgroups import MATCH_TOL
 
 _F = Fraction
@@ -107,18 +108,14 @@ class RepresentationSpace:
         """The basis polynomials, read off ``numerators``: Fraction
         coefficients if exact, floats otherwise."""
         N, den = self.numerators
-        exact = self.is_exact
-        terms = [{} for _ in range(len(N))]
-        rk, ck = np.nonzero(N)
-        for r, c, v in zip(rk.tolist(), ck.tolist(), N[rk, ck].tolist()):
-            terms[r][self.monomials[c]] = _F(v, den) if exact else v
-        return tuple(Polynomial._make(t, len(self.monomials[0])) for t in terms)
+        convert = (lambda v: _F(v, den)) if self.is_exact else None
+        return polynomials(N, self.monomials, convert=convert)
 
     @cached_property
     def coefficients(self):
         """B as a read-only float array."""
         N, den = self.numerators
-        return _read_only((N / den).astype(float))
+        return read_only((N / den).astype(float))
 
     @cached_property
     def lead_rank(self):
@@ -128,7 +125,7 @@ class RepresentationSpace:
         order = sorted(range(len(self.monomials)), key=lambda k: self.monomials[k][::-1])
         rank = np.empty(len(order), dtype=int)
         rank[order] = np.arange(len(order))
-        return _read_only(rank)
+        return read_only(rank)
 
     @cached_property
     def float_solver(self):
@@ -138,7 +135,7 @@ class RepresentationSpace:
         U, s, Vt = np.linalg.svd(A, full_matrices=False)
         if np.sum(s > s[0] * max(A.shape) * np.finfo(float).eps) < self.dim:
             raise RuntimeError("basis is rank-deficient")
-        return _Solver(_read_only(A), _read_only((Vt.T / s) @ U.T), slice(None), 1, 1)
+        return _Solver(read_only(A), read_only((Vt.T / s) @ U.T), slice(None), 1, 1)
 
     @cached_property
     def exact_solver(self):
@@ -152,7 +149,7 @@ class RepresentationSpace:
         if len(rows) < self.dim:
             raise RuntimeError("basis is rank-deficient")
         L, l = integer_matrix(rref[:, m:].T)
-        return _Solver(N.T, _read_only(L), _read_only(np.array(rows)), a * l, l)
+        return _Solver(N.T, read_only(L), read_only(np.array(rows)), a * l, l)
 
 
 class _Solver(NamedTuple):
@@ -166,18 +163,13 @@ class _Solver(NamedTuple):
     den: int
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 @cache
 def harmonic_space(p, style="integer"):
     monos = tuple(monomials_of_degree(p))
     N, den = coefficient_matrix(real_basis(p, style).polynomials, monos)
     return RepresentationSpace("harmonic", p, None, style,
                                tuple((i,) for i in range(-p, p + 1)), monos,
-                               (_read_only(N), den))
+                               (read_only(N), den))
 
 
 @cache
@@ -189,7 +181,7 @@ def _pairs(a, b):
     I, J = np.divmod(np.arange(a * b), b)
     if a == b:
         I, J = I[I <= J], J[I <= J]
-    return _read_only(I), _read_only(J), _read_only((I != J) & (a == b))
+    return read_only(I), read_only(J), read_only((I != J) & (a == b))
 
 
 def _fold_rows(X):
@@ -228,7 +220,7 @@ def symmetric_product_space(p, q, style="integer"):
     I, J, _ = _pairs(len(Bp), len(Bq))
     return RepresentationSpace("symmetric_product", p, q, style,
                                tuple(zip((I - p).tolist(), (J - q).tolist())),
-                               tuple(monos), (_read_only(C), bp * bq))
+                               tuple(monos), (read_only(C), bp * bq))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +242,8 @@ def _substitution_plan(k):
     for c, steps in enumerate(down):
         U[tuple(zip(*steps)) + (c,)] = 1
     var, parent = zip(*(steps[0] for steps in down))
-    return (_read_only(np.array(parent)), _read_only(np.array(var)),
-            _read_only(U.reshape(-1, len(down))))
+    return (read_only(np.array(parent)), read_only(np.array(var)),
+            read_only(U.reshape(-1, len(down))))
 
 
 def substitution_matrices(S, p):
@@ -330,7 +322,7 @@ def _float_actions(space, entries):
     if orth > MATCH_TOL:
         raise ValueError("an element R is not orthogonal: max |R^T R - I| is %.3g, above %g"
                          % (orth, MATCH_TOL))
-    return _read_only(np.ascontiguousarray(D))
+    return read_only(np.ascontiguousarray(D))
 
 
 def action_stack(space, group):
@@ -496,15 +488,7 @@ def _canonical_basis(space, rows):
     else:
         scale, to_field = 1.0 / lead, _snap
         P = P * scale[:, None]
-    rk, ck = np.nonzero(keep)
-    converted = {}
-    terms = [{} for _ in rows]
-    for r, c, x in zip(rk.tolist(), ck.tolist(), P[rk, ck].tolist()):
-        if x not in converted:
-            converted[x] = to_field(x)
-        terms[r][space.monomials[c]] = converted[x]
-    nvars = len(space.monomials[0])
-    return (tuple(Polynomial._make(t, nvars) for t in terms),
+    return (polynomials(P, space.monomials, keep, to_field),
             tuple(map(tuple, (rows * scale[:, None]).tolist())))
 
 
@@ -561,7 +545,8 @@ def molien_series(group, M_max, trace_tol=TRACE_TOL):
     if not group.order:
         raise ValueError("group %s has no elements" % group.name)
     S = np.array(group.exact_elements, dtype=object) if group.is_rational else group.stack
-    t, den = _char_poly_series(S, M_max)
+    with np.errstate(over="ignore", invalid="ignore"):      # each coefficient is checked
+        t, den = _char_poly_series(S, M_max)
     g = []
     for k, tk in enumerate(t):
         total = sum(tk.tolist())
@@ -629,7 +614,7 @@ class CoefficientPattern:
         columns when the span is empty."""
         n = (2 * self.p + 1) * (2 * self.q + 1)
         V = np.array(self.matrix_span()).reshape(-1, n)
-        return _read_only(np.linalg.qr(V.T, mode="reduced")[0])
+        return read_only(np.linalg.qr(V.T, mode="reduced")[0])
 
 
 def coefficient_pattern(inv):

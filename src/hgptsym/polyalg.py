@@ -75,14 +75,12 @@ class Polynomial:
             raise ValueError("nvars must be 3 or 6")
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
+            key = tuple(int(e) for e in exps)
+            if len(key) != nvars or any(e < 0 for e in key) or key != tuple(exps):
                 raise ValueError("bad exponent tuple %r" % (exps,))
             c = _coerce(c)
             if c != 0:
-                clean[exps] = clean.get(exps, 0) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[key] = c
         self.terms = clean
         self.nvars = nvars
 
@@ -342,19 +340,39 @@ def kelvin_harmonicize(q, m):
 RTOL = 1e-9
 
 
+def read_only(a):
+    """The array a, marked read-only."""
+    a.flags.writeable = False
+    return a
+
+
 def coefficient_matrix(polys, monomials):
     """The coefficients of ``polys`` over ``monomials`` as (N, den), one row
     per polynomial with rows = N / den: Python ints (object dtype) over the
     lcm of the denominators when every coefficient is a ``Fraction``, a
-    float array over 1 otherwise."""
+    float array over 1 otherwise (``integer_matrix``)."""
     index = {e: k for k, e in enumerate(monomials)}
-    cells = [(r, index[e], c) for r, p in enumerate(polys) for e, c in p.terms.items()]
-    exact = all(_is_exact(c) for _, _, c in cells)
-    den = math.lcm(*(c.denominator for _, _, c in cells)) if exact else 1
-    N = np.zeros((len(polys), len(monomials)), dtype=object if exact else float)
-    for r, k, c in cells:
-        N[r, k] = c.numerator * (den // c.denominator) if exact else c
-    return N, den
+    exact = all(p.is_exact() for p in polys)
+    D = np.zeros((len(polys), len(monomials)), dtype=object if exact else float)
+    for r, p in enumerate(polys):
+        for e, c in p.terms.items():
+            D[r, index[e]] = c
+    return integer_matrix(D)
+
+
+def polynomials(P, monomials, keep=None, convert=None):
+    """The inverse of ``coefficient_matrix``: one polynomial per row of the
+    array P over ``monomials``, with the entries that ``keep`` marks (the
+    nonzero ones by default) as its terms, each through ``convert`` when
+    given, once per distinct value."""
+    rk, ck = np.nonzero(P if keep is None else keep)
+    converted = {}
+    terms = [{} for _ in P]
+    for r, c, x in zip(rk.tolist(), ck.tolist(), P[rk, ck].tolist()):
+        if x not in converted:
+            converted[x] = x if convert is None else convert(x)
+        terms[r][monomials[c]] = converted[x]
+    return tuple(Polynomial._make(t, len(monomials[0])) for t in terms)
 
 
 def integer_matrix(D):

@@ -25,7 +25,7 @@ from functools import cache
 
 import numpy as np
 
-from .polyalg import integer_matrix, is_rational
+from .polyalg import integer_matrix, is_rational, read_only
 
 MATCH_TOL = 1e-9
 MAX_ORDER = 240
@@ -109,9 +109,7 @@ def _icosahedral_generators():
 # ---------------------------------------------------------------------------
 
 def _readonly(matrices):
-    a = np.array(matrices, dtype=float).reshape(-1, 3, 3)
-    a.flags.writeable = False
-    return a
+    return read_only(np.array(matrices, dtype=float).reshape(-1, 3, 3))
 
 
 def _distances(P, E):

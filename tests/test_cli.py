@@ -169,6 +169,22 @@ def test_float_invariants_documents_pinned(capsys):
     assert h.hexdigest() == "0d9164935acb6a8e9aff0fbb8eda0646ac017646ca465498326fc25adb9b8898"
 
 
+def test_exact_invariants_documents_pinned(capsys):
+    """The exact path's documents, byte for byte: sha256 of the JSON
+    `invariants` documents for C2, C4, D2, D4, T, O and type3:O/T over the
+    cells (1,1), (1,2), (1,3), (2,2), (2,3), (3,3), in that order, each as
+    the CLI prints it.  Exact arithmetic makes the hash independent of numpy
+    and BLAS."""
+    h = hashlib.sha256()
+    for g in ("C2", "C4", "D2", "D4", "T", "O", "type3:O/T"):
+        for p, q in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)):
+            code, out, err = run(capsys, ["invariants", "--group", g, "--p", str(p),
+                                          "--q", str(q), "--format", "json"])
+            assert code == 0, err
+            h.update(out.encode())
+    assert h.hexdigest() == "26a56144a5f7e2231f47f10c8926e45cd63898bff62db76edd22951093522b88"
+
+
 class TestErrors:
     def test_unknown_group(self, capsys):
         code, _, err = run(capsys, ["group", "--name", "X9"])

@@ -316,8 +316,6 @@ class TestForwardVoltage:
         assert got == ["0x1.2ed1263039dbcp-8", "0x1.413dfbfa7038dp-6", "0x1.5e7a978d7d664p-10",
                        "-0x1.b76ca4fc98c02p-5", "-0x1.cc780590c60adp-6", "-0x1.a330aa1797baap-4"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("blocks, x", [
         ([hgpt.HgptMatrix(1, 1, np.full((3, 3), 1e300))], (1e-100, 0.0, 0.0)),
         ([hgpt.HgptMatrix(1, 1, np.full((3, 3), 1e300))], (1e-100, 1e-100, 1e-100)),
@@ -622,7 +620,6 @@ class TestWrittenOutFormulas:
             got = hgpt.forward_voltage(blocks, x_r, x_s)
             assert abs(got - math.fsum(terms)) <= 1e-14 * sum(abs(t) for t in terms)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (1, 2)])
     def test_a_computed_block_that_overflows_raises(self, p, q):
         N = hgpt.HgptMatrix(p, q, np.full((2 * p + 1, 2 * q + 1), 1e308))

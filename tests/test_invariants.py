@@ -430,7 +430,6 @@ class TestMolien:
             assert inv.invariant_subspace(space, g).dimension == ms.h[m], \
                 (name, m)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_element_gives_no_integer(self, bad):
         c4 = sg.build_group("C4")

@@ -363,7 +363,11 @@ class TestArithmeticResults:
             Polynomial({(1, 0): 1}, 3)
         with pytest.raises(ValueError):
             Polynomial({(-1, 0, 0): 1}, 3)
+        with pytest.raises(ValueError, match="bad exponent tuple"):
+            Polynomial({(1.9, 0.2, 0): 1}, 3)            # not truncated to x1
         assert type(Polynomial({(1, 0, 0): 2}, 3).terms[(1, 0, 0)]) is Fraction
+        e, = Polynomial({(1.0, np.int64(2), 0): 1}, 3).terms
+        assert e == (1, 2, 0) and all(type(k) is int for k in e)
 
 
 class TestSerialization:
