@@ -35,10 +35,8 @@ TABLE_CELLS = [(1, 1), (1, 2), (1, 3), (2, 2)]
 
 
 def _float_json(x):
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
+    if not math.isfinite(x):
+        raise ValueError("a document holds only finite numbers, got %s" % x)
     return float.__repr__(x)
 
 
@@ -48,7 +46,8 @@ _JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _float_
 
 def _json(obj, indent="\n"):
     """``json.dumps(obj, sort_keys=True, indent=2)``, written directly: with
-    ``indent`` set the stdlib encodes in pure Python, several times slower."""
+    ``indent`` set the stdlib encodes in pure Python, several times slower.
+    A NaN or infinite float raises ``ValueError`` where json would write it."""
     scalar = _JSON_SCALARS.get(type(obj))
     if scalar is not None:
         return scalar(obj)

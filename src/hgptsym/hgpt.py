@@ -36,7 +36,7 @@ Python floats, rejects one that is not finite or at the origin, and a sum
 that is not finite).  The operands are 1 x 1 to 13 x 13, where
 numpy's call overhead outweighs the arithmetic, so the products are
 ``ndarray.dot`` chains, about half the cost of ``@`` chains there.  Every
-block, given or computed, passes the one finite check of ``HgptMatrix``.
+block, given or computed, passes ``HgptMatrix``'s style, shape and finite check.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ class HgptMatrix:
     basis_style: str = "orthonormal"
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.shape != (2 * self.p + 1, 2 * self.q + 1):
-            raise ValueError("entries must be (2p+1) x (2q+1)")
+        if self.basis_style not in STYLES:
+            raise ValueError('basis_style must be "integer" or "orthonormal", got %r'
+                             % (self.basis_style,))
+        e = _entries(self, float)
         if not np.isfinite(e).all():
             raise ValueError("HGPT entries must be finite")
         object.__setattr__(self, "entries", e)
@@ -92,11 +93,9 @@ class HgptMatrix:
             e = np.array(d["entries"], dtype=float)
         except TypeError as exc:
             raise ValueError("entries must be numbers: %s" % exc) from None
-        style = d.get("basis_style", "orthonormal")
-        if style not in STYLES:
-            raise ValueError('basis_style must be "integer" or "orthonormal", got %r' % (style,))
         p, q = d["p"], d["q"]
-        return HgptMatrix(p, q, e.reshape(2 * p + 1, 2 * q + 1), style)
+        return HgptMatrix(p, q, e.reshape(2 * p + 1, 2 * q + 1),
+                          d.get("basis_style", "orthonormal"))
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,15 @@ class CgptMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=complex)
-        if e.shape != (2 * self.p + 1, 2 * self.q + 1):
-            raise ValueError("entries must be (2p+1) x (2q+1)")
-        object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "entries", _entries(self, complex))
+
+
+def _entries(block, dtype):
+    """The entries of a (p, q) block as a (2p+1) x (2q+1) array of ``dtype``."""
+    e = np.asarray(block.entries, dtype=dtype)
+    if e.shape != (2 * block.p + 1, 2 * block.q + 1):
+        raise ValueError("entries must be (2p+1) x (2q+1)")
+    return e
 
 
 @dataclass(frozen=True)
@@ -155,20 +159,15 @@ def cgpt_from_hgpt(N):
 def hgpt_from_gpt(G, style="orthonormal"):
     """Contract raw GPT values onto the real harmonic basis.
 
-    N = W_p (T_p G T_q^H) W_q^H / ((2p+1)(2q+1)) where T_p[m, a] is the
-    conjugated monomial coefficient of H_p^m and W_p expands the real
-    basis in the complex one.  Returns (HgptMatrix, imaginary_residue).
+    The CGPT block is T_p G T_q^H / ((2p+1)(2q+1)), where T_p[m, a] is the
+    conjugated monomial coefficient of H_p^m; ``hgpt_from_cgpt`` converts it.
+    Returns (HgptMatrix, imaginary_residue).
     """
     p, q = G.p, G.q
-    Gm = G.matrix()
     _, AMHp = monomial_expansion(p)
     _, AMHq = monomial_expansion(q)
-    A_p, A_q = basis_change(p, style), basis_change(q, style)
-    Mc = AMHp.conj().T @ Gm @ AMHq
-    # W_p = A_p^H: rows real index i, columns order m
-    N = A_p.adjoint @ Mc @ A_q.matrix / ((2 * p + 1) * (2 * q + 1))
-    residue = float(np.max(np.abs(N.imag)))
-    return HgptMatrix(p, q, N.real, style), residue
+    M = AMHp.conj().T @ G.matrix() @ AMHq / ((2 * p + 1) * (2 * q + 1))
+    return hgpt_from_cgpt(CgptMatrix(p, q, M), style)
 
 
 def scale(N, s):
@@ -270,12 +269,21 @@ def apply_pattern(N, pattern):
     Orthogonal (Frobenius) projection onto the pattern's matrix span.
     Returns (projected HgptMatrix, residual), where the residual is the
     Frobenius norm of the removed component — a symmetry-violation score.
+    Where its square d.d overflows, it is taken again by ``math.dist``, which
+    scales instead of overflowing; a block whose projection or residual is
+    still not finite raises ``ValueError``.
     """
     if (pattern.p, pattern.q) != (N.p, N.q) or pattern.style != N.basis_style:
         raise ValueError("pattern was built for a different block or basis style")
     Q = pattern.span_basis
     v = N.entries.ravel()
-    proj = Q.dot(Q.T.dot(v))
-    d = v - proj
-    residual = math.sqrt(d.dot(d))
+    with np.errstate(over="ignore", invalid="ignore"):      # the residual is checked below
+        proj = Q.dot(Q.T.dot(v))
+        d = v - proj
+        residual = math.sqrt(d.dot(d))
+    if not math.isfinite(residual):         # not finite if proj is not
+        residual = math.dist(v.tolist(), proj.tolist())
+        if not math.isfinite(residual):
+            raise ValueError("the block overflows: its projection onto the pattern or "
+                             "the residual is not finite")
     return HgptMatrix(N.p, N.q, proj.reshape(N.entries.shape), N.basis_style), residual

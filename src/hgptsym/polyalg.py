@@ -75,7 +75,10 @@ class Polynomial:
             raise ValueError("nvars must be 3 or 6")
         clean = {}
         for exps, c in terms.items():
-            key = tuple(int(e) for e in exps)
+            try:
+                key = tuple(int(e) for e in exps)
+            except (OverflowError, ValueError):     # an inf or nan exponent
+                key = ()
             if len(key) != nvars or any(e < 0 for e in key) or key != tuple(exps):
                 raise ValueError("bad exponent tuple %r" % (exps,))
             c = _coerce(c)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -127,6 +128,29 @@ class TestForwardAndPattern:
                                 "--group", "C4"])
         assert doc["result"]["residuals"][0]["residual"] < 1e-9
 
+    def test_pattern_residual_near_the_float_limit_is_finite(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('[{"p": 1, "q": 1, "entries": [1e300, 2e300, 3e300, -1e300, 1e300, '
+                        '5e300, 1e300, 1e300, 7e300]}]')
+        for group, want in (("C1", 3.8079e300), ("C4", 6.4031e300), ("O", 8.0623e300)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, ["pattern-residual", "--blocks", str(path),
+                                              "--group", group, "--format", "json"])
+            assert code == 0 and err == "" and "Infinity" not in out
+            res = json.loads(out)["result"]["residuals"][0]["residual"]
+            assert res == pytest.approx(want, rel=1e-4)
+
+    def test_a_pattern_residual_that_overflows_is_an_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('[{"p": 1, "q": 1, "entries": [%s]}]' % ", ".join(["1.7e308"] * 9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["pattern-residual", "--blocks", str(path),
+                                          "--group", "C4"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: the block overflows")
+
 
 class TestRegenerateTables:
     def test_writes_documents_and_passes_goldens(self, capsys, tmp_path):
@@ -229,6 +253,12 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err == "error: degree must be non-negative, got -1\n"
 
+    def test_a_point_needs_three_coordinates(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["forward", "--blocks", "b.json", "--source", "0,0", "--receiver", "0,0,2"])
+        assert info.value.code == 2
+        assert "expected x,y,z" in capsys.readouterr().err
+
     def test_negative_nmax(self, capsys, tmp_path):
         path = tmp_path / "one.json"
         path.write_text('{"blocks": [{"p": 0, "q": 0, "entries": [1.0]}]}')
@@ -311,11 +341,28 @@ def _dumps(doc):
 class TestJsonWriter:
     @pytest.mark.parametrize("value", [
         {}, [], {"a": [], "b": {}}, [[[]]], (1, (2,)), "", "é ☃ \U0001F600 \n\t\"\\ \x00",
-        float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 1e-320, 1.7976931348623157e308,
+        -0.0, 0.0, 1e-320, 1.7976931348623157e308,
         0.1, 3, -2 ** 70, True, False, None, np.float64(0.25),
-        {"z": [1, {"y": None, "x": [float("nan"), -0.0]}], "a": "α", "é": [True]}])
+        {"z": [1, {"y": None, "x": [0.5, -0.0]}], "a": "α", "é": [True]}])
     def test_edge_values_match_json_dumps(self, value):
         assert cli._json(value) == _dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+        {"z": [1, {"x": [float("inf"), -0.0]}]}])
+    def test_non_finite_numbers_are_refused(self, value):
+        with pytest.raises(ValueError, match="only finite numbers"):
+            cli._json(value)
+
+    def test_a_non_finite_result_is_an_error_and_no_document(self, capsys, monkeypatch,
+                                                             tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text('[{"p": 0, "q": 0, "entries": [1.0]}]')
+        monkeypatch.setattr(hgpt, "forward_voltage", lambda *args: math.nan)
+        code, out, err = run(capsys, ["forward", "--blocks", str(path), "--format", "json",
+                                      "--source", "0,0,2", "--receiver", "0,0,2"])
+        assert code == 1 and out == ""
+        assert err == "error: a document holds only finite numbers, got nan\n"
 
     def test_unserialisable_value_raises_like_json(self):
         with pytest.raises(TypeError, match="not JSON serializable"):

@@ -98,6 +98,10 @@ class TestRealBases:
         with pytest.raises(ValueError):
             H.real_basis(2, "chebyshev")
 
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="degree must be non-negative"):
+            H.real_basis(-1)
+
 
 class TestComplexSolidHarmonics:
     @pytest.mark.parametrize("n", range(0, 6))
@@ -138,6 +142,11 @@ class TestComplexSolidHarmonics:
                 c = H.complex_solid_harmonic(n, m)
                 h.update(("%s\n%s\n" % (c.re_core.to_text(), c.im_core.to_text())).encode())
         assert h.hexdigest() == "33f642f80065e66354e132f7310f11045d4dd3dc83ddcbb0e7071ab76014f5c6"
+
+    @pytest.mark.parametrize("m", [3, -3])
+    def test_order_beyond_the_degree_is_rejected(self, m):
+        with pytest.raises(ValueError, match=r"\|m\| must not exceed n"):
+            H.complex_solid_harmonic(2, m)
 
     def test_degree_one_values(self):
         # H_1^0 = sqrt(3/(4 pi)) x3

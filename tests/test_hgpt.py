@@ -108,6 +108,17 @@ class TestGptConversion:
         want = np.diag([2.0, 3.0, 5.0]) / (12 * math.pi)
         assert np.max(np.abs(N.entries - want)) < 1e-12
 
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3)])
+    def test_is_the_inverse_of_cgpt_from_hgpt_on_the_contracted_block(self, rng, p, q):
+        mp, mq = monomials_of_degree(p), monomials_of_degree(q)
+        G = hgpt.GptCoefficients(p, q, {(a, b): float(rng.normal()) for a in mp for b in mq})
+        _, T_p = monomial_expansion(p)
+        _, T_q = monomial_expansion(q)
+        M = T_p.conj().T @ G.matrix() @ T_q / ((2 * p + 1) * (2 * q + 1))
+        N, residue = hgpt.hgpt_from_gpt(G)
+        assert residue < 1e-12
+        assert np.max(np.abs(hgpt.cgpt_from_hgpt(N).entries - M)) < 1e-12
+
     def test_zero_and_missing_entries(self):
         mp = monomials_of_degree(1)
         G = hgpt.GptCoefficients(1, 1, {(a, b): 0.0 for a in mp for b in mp})
@@ -409,6 +420,25 @@ class TestApplyPattern:
         assert res == float(np.linalg.norm(N.entries))
 
 
+    @pytest.mark.parametrize("name, want", [("C1", math.sqrt(14.5)), ("C4", math.sqrt(41)),
+                                            ("O", math.sqrt(65))])
+    def test_a_residual_whose_square_overflows_is_finite(self, name, want):
+        e = np.array([[1, 2, 3], [-1, 1, 5], [1, 1, 7]], dtype=float)
+        pat = self._pattern(name, 1, 1)
+        assert hgpt.apply_pattern(hgpt.HgptMatrix(1, 1, e), pat)[1] == pytest.approx(want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, res = hgpt.apply_pattern(hgpt.HgptMatrix(1, 1, 1e300 * e), pat)
+        assert res == pytest.approx(want * 1e300, rel=1e-12)
+
+    def test_a_projection_that_overflows_raises_without_warnings(self):
+        N = hgpt.HgptMatrix(1, 1, np.full((3, 3), 1.7e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                hgpt.apply_pattern(N, self._pattern("C4", 1, 1))
+
+
 class TestMemos:
     def test_memos_stay_within_their_bound(self, rng):
         N = hgpt.HgptMatrix(2, 2, np.eye(5))
@@ -533,6 +563,13 @@ class TestShapes:
             hgpt.HgptMatrix(1, 1, np.zeros(shape))
         with pytest.raises(ValueError, match=r"\(2p\+1\) x \(2q\+1\)"):
             hgpt.CgptMatrix(1, 1, np.zeros(shape, dtype=complex))
+
+
+    @pytest.mark.parametrize("style", ["bogus", ["x"], None, "Integer"])
+    def test_a_block_built_in_python_has_its_style_checked(self, style):
+        with pytest.raises(ValueError, match='basis_style must be "integer" or '
+                           '"orthonormal", got %s' % re.escape(repr(style))):
+            hgpt.HgptMatrix(1, 1, np.eye(3), style)
 
 
 class TestNonFiniteInput:

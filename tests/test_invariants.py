@@ -437,6 +437,12 @@ class TestMolien:
         with pytest.raises(RuntimeError, match="Molien coefficient .* is not an integer"):
             inv.molien_series(g, 2)
 
+    def test_a_set_that_is_no_group_can_give_a_negative_coefficient(self):
+        # {-I} alone, without I: g_1 = tr(-I) = -3
+        g = sg.PointGroup("minus", np.array([-np.eye(3)]), ())
+        with pytest.raises(RuntimeError, match="negative Molien coefficient -3"):
+            inv.molien_series(g, 4)
+
     @pytest.mark.parametrize("v", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
     def test_integer_check_rejects_non_finite_values(self, v):
         with pytest.raises(RuntimeError, match="projector trace .* is not an integer"):

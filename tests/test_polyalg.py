@@ -365,9 +365,29 @@ class TestArithmeticResults:
             Polynomial({(-1, 0, 0): 1}, 3)
         with pytest.raises(ValueError, match="bad exponent tuple"):
             Polynomial({(1.9, 0.2, 0): 1}, 3)            # not truncated to x1
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="bad exponent tuple"):
+                Polynomial({(bad, 0, 0): 1}, 3)
+        with pytest.raises(ValueError, match="nvars must be 3 or 6"):
+            Polynomial({}, 4)
         assert type(Polynomial({(1, 0, 0): 2}, 3).terms[(1, 0, 0)]) is Fraction
         e, = Polynomial({(1.0, np.int64(2), 0): 1}, 3).terms
         assert e == (1, 2, 0) and all(type(k) is int for k in e)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: u1 + Polynomial.variable(0, 6), "variable-count mismatch"),
+        (lambda: u1 * Polynomial.variable(0, 6), "variable-count mismatch"),
+        (lambda: u1.evaluate((1, 2, 3, 4, 5, 6)), "variable-count mismatch"),
+        (lambda: u1 ** -1, "negative power"),
+        (lambda: kelvin_harmonicize(Polynomial.variable(0, 6), 1),
+         "variable-count mismatch: need 3 variables"),
+        (lambda: kelvin_harmonicize(u1 + u2 ** 2, 2), "q must be homogeneous of degree 2"),
+    ])
+    def test_raises(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestSerialization:
