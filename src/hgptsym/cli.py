@@ -273,9 +273,7 @@ def cmd_regenerate_tables(args):
             index.append({"group": name, "p": p, "q": q,
                           "dimension": inv.dimension, "file": os.path.basename(fname)})
     if failures:
-        for msg in failures:
-            print("golden-dimension mismatch: %s" % msg, file=sys.stderr)
-        return 1
+        raise RuntimeError("golden-dimension mismatch: %s" % "; ".join(failures))
     result = {"out": args.out, "cells": index}
     lines = ["group  p  q  dim"]
     lines += ["%-6s %d  %d  %d" % (c["group"], c["p"], c["q"], c["dimension"])

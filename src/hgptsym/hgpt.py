@@ -36,7 +36,8 @@ Python floats, rejects one that is not finite or at the origin, and a sum
 that is not finite).  The operands are 1 x 1 to 13 x 13, where
 numpy's call overhead outweighs the arithmetic, so the products are
 ``ndarray.dot`` chains, about half the cost of ``@`` chains there.  Every
-block, given or computed, passes ``HgptMatrix``'s style, shape and finite check.
+block, given or computed, passes ``HgptMatrix``'s style, order, shape and
+finite check.
 """
 
 from __future__ import annotations
@@ -79,23 +80,23 @@ class HgptMatrix:
 
     @staticmethod
     def from_json_dict(d):
-        """The block of a JSON object: p and q must be JSON integers >= 0, not
-        floats or booleans, and basis_style "integer" or "orthonormal" (the
-        default); a malformed block raises ``ValueError``."""
+        """The block of a JSON object: p and q JSON integers >= 0, entries a
+        flat row-major list of JSON numbers, and basis_style "integer" or
+        "orthonormal" (the default); a malformed block raises ``ValueError``."""
         if not isinstance(d, dict):
             raise ValueError("a block must be a JSON object, got %s" % type(d).__name__)
         for key in ("p", "q", "entries"):
             if key not in d:
                 raise ValueError("missing key %r" % key)
-            if key != "entries" and (type(d[key]) is not int or d[key] < 0):
-                raise ValueError("%s must be an integer >= 0, got %r" % (key, d[key]))
-        try:
-            e = np.array(d["entries"], dtype=float)
-        except TypeError as exc:
-            raise ValueError("entries must be numbers: %s" % exc) from None
-        p, q = d["p"], d["q"]
-        return HgptMatrix(p, q, e.reshape(2 * p + 1, 2 * q + 1),
-                          d.get("basis_style", "orthonormal"))
+        p, q, e = d["p"], d["q"], d["entries"]
+        _orders(p, q)
+        if type(e) is not list or not all(type(v) is float or type(v) is int for v in e):
+            raise ValueError("entries must be numbers, in a flat list")
+        # an int too large for a float is inf (not float()'s OverflowError), refused below
+        e = np.array([v if abs(v) <= sys.float_info.max else math.inf for v in e], float)
+        if e.size == (2 * p + 1) * (2 * q + 1):     # else _entries refuses the shape
+            e = e.reshape(2 * p + 1, 2 * q + 1)
+        return HgptMatrix(p, q, e, d.get("basis_style", "orthonormal"))
 
 
 @dataclass(frozen=True)
@@ -110,8 +111,18 @@ class CgptMatrix:
         object.__setattr__(self, "entries", _entries(self, complex))
 
 
+def _orders(p, q):
+    """Refuse orders that are not Python ints >= 0: not floats, bools or numpy
+    integers, which ``to_json_dict`` would write as no JSON integer."""
+    if not (type(p) is int and type(q) is int and p >= 0 and q >= 0):
+        key, n = ("p", p) if type(p) is not int or p < 0 else ("q", q)
+        raise ValueError("%s must be an integer >= 0, got %r" % (key, n))
+
+
 def _entries(block, dtype):
-    """The entries of a (p, q) block as a (2p+1) x (2q+1) array of ``dtype``."""
+    """The entries of a block as a (2p+1) x (2q+1) array of ``dtype``, once its
+    orders pass ``_orders``."""
+    _orders(block.p, block.q)
     e = np.asarray(block.entries, dtype=dtype)
     if e.shape != (2 * block.p + 1, 2 * block.q + 1):
         raise ValueError("entries must be (2p+1) x (2q+1)")

@@ -175,7 +175,16 @@ class TestRegenerateTables:
         monkeypatch.setattr(cli, "GOLDEN_DIMS", {"C4": {(1, 2): 4}})
         code, out, err = run(capsys, ["regenerate-tables", "--out", str(tmp_path / "t")])
         assert code == 1 and out == ""
-        assert err == "golden-dimension mismatch: C4 (1,2): computed 3, table says 4\n"
+        assert err == "error: golden-dimension mismatch: C4 (1,2): computed 3, table says 4\n"
+        assert len(list((tmp_path / "t").iterdir())) == 52
+
+    def test_every_wrong_golden_dimension_is_named_on_one_error_line(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        monkeypatch.setattr(cli, "GOLDEN_DIMS", {"C4": {(1, 2): 4}, "C6": {(2, 2): 5}})
+        code, out, err = run(capsys, ["regenerate-tables", "--out", str(tmp_path / "t")])
+        assert code == 1 and out == ""
+        assert err == ("error: golden-dimension mismatch: C4 (1,2): computed 3, table says 4; "
+                       "C6 (2,2): computed 3, table says 5\n")
 
 
 def test_float_invariants_documents_pinned(capsys):
@@ -303,6 +312,25 @@ class TestErrors:
             code, out, err = run(capsys, argv + ["--blocks", str(path)])
             assert code == 1 and out == ""
             assert err.startswith("error: %s: " % path) and message in err
+
+    @pytest.mark.parametrize("entries,message", [
+        ("[1, 2, 3]", "entries must be (2p+1) x (2q+1)"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 1]]", "entries must be numbers, in a flat list"),
+        ('"5"', "entries must be numbers, in a flat list"),
+        ("5", "entries must be numbers, in a flat list"),
+        ("[true, 0, 0, 0, 1, 0, 0, 0, 1]", "entries must be numbers, in a flat list"),
+        ("[[[1]]]", "entries must be numbers, in a flat list"),
+        ("[1%s, 0, 0, 0, 1, 0, 0, 0, 1]" % ("0" * 400), "HGPT entries must be finite"),
+    ], ids=["short", "nested", "string", "number", "bool", "deep", "huge-int"])
+    def test_entries_outside_the_flat_list_of_numbers_are_refused(self, capsys, tmp_path,
+                                                                  entries, message):
+        path = tmp_path / "bad.json"
+        path.write_text('[{"p": 1, "q": 1, "entries": %s}]' % entries)
+        for argv in (["forward", "--source", "0,0,2", "--receiver", "0,0,2"],
+                     ["pattern-residual", "--group", "C4"]):
+            code, out, err = run(capsys, argv + ["--blocks", str(path)])
+            assert code == 1 and out == ""
+            assert err == "error: %s: block 0: %s\n" % (path, message)
 
     def test_a_block_filtered_out_by_nmax_is_still_checked(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """HGPT block algebra: basis conversions, transformation laws, forward model."""
 
+import json
 import math
 import re
 import warnings
@@ -555,6 +556,42 @@ class TestJsonSchema:
         with pytest.raises(ValueError, match="entries must be numbers"):
             hgpt.HgptMatrix.from_json_dict({"p": 0, "q": 0, "entries": {"a": 1}})
 
+    @pytest.mark.parametrize("p,entries,message", [
+        (0, "5", "entries must be numbers, in a flat list"),
+        (0, 5, "entries must be numbers, in a flat list"),
+        (0, [True], "entries must be numbers, in a flat list"),
+        (0, [[[1]]], "entries must be numbers, in a flat list"),
+        (0, None, "entries must be numbers, in a flat list"),
+        (1, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "entries must be numbers, in a flat list"),
+        (1, [1, 2, 3], r"entries must be \(2p\+1\) x \(2q\+1\)"),
+        (1, [0.0] * 10, r"entries must be \(2p\+1\) x \(2q\+1\)"),
+        (0, [], r"entries must be \(2p\+1\) x \(2q\+1\)"),
+        (0, [10 ** 400], "HGPT entries must be finite"),
+        (0, [-10 ** 400], "HGPT entries must be finite"),
+        (1, [10 ** 400] + [0] * 9, r"entries must be \(2p\+1\) x \(2q\+1\)"),
+    ], ids=["string", "number", "bool", "deep", "null", "nested", "short", "long", "empty",
+            "huge-int", "huge-negative-int", "huge-int-long"])
+    def test_entries_must_be_a_flat_list_of_numbers(self, p, entries, message):
+        with pytest.raises(ValueError, match=message):
+            hgpt.HgptMatrix.from_json_dict({"p": p, "q": p, "entries": entries})
+
+    @pytest.mark.parametrize("block", [
+        hgpt.HgptMatrix(0, 0, np.array([[-0.0]])),
+        hgpt.HgptMatrix(1, 1, np.diag([2.0, 2.0, 7.0]), "integer"),
+        hgpt.HgptMatrix(2, 1, np.arange(15.0).reshape(5, 3) / 7),
+        hgpt.HgptMatrix(1, 3, np.full((3, 7), 1.7976931348623157e308)),
+        hgpt.HgptMatrix(0, 2, np.array([[5e-324, -1e-300, 0.1, 1e300, -3.0]]), "integer"),
+    ])
+    def test_the_written_block_reads_back_unchanged(self, block):
+        M = hgpt.HgptMatrix.from_json_dict(json.loads(json.dumps(block.to_json_dict())))
+        assert (M.p, M.q, M.basis_style) == (block.p, block.q, block.basis_style)
+        assert M.entries.tobytes() == block.entries.tobytes()
+
+    def test_an_integer_entry_as_large_as_a_float_is_read(self):
+        big = int(np.finfo(float).max)
+        M = hgpt.HgptMatrix.from_json_dict({"p": 0, "q": 0, "entries": [-big]})
+        assert M.entries[0, 0] == -np.finfo(float).max
+
 
 class TestShapes:
     @pytest.mark.parametrize("shape", [(3, 5), (5, 3), (9,), (3, 3, 1)])
@@ -564,6 +601,15 @@ class TestShapes:
         with pytest.raises(ValueError, match=r"\(2p\+1\) x \(2q\+1\)"):
             hgpt.CgptMatrix(1, 1, np.zeros(shape, dtype=complex))
 
+
+    @pytest.mark.parametrize("order", [1.5, True, np.int64(1), -1])
+    @pytest.mark.parametrize("key", ["p", "q"])
+    @pytest.mark.parametrize("make", [hgpt.HgptMatrix, hgpt.CgptMatrix])
+    def test_orders_must_be_python_integers(self, make, key, order):
+        orders = {"p": 1, "q": 1, key: order}
+        with pytest.raises(ValueError, match="%s must be an integer >= 0, got %s"
+                           % (key, re.escape(repr(order)))):
+            make(orders["p"], orders["q"], np.eye(3))
 
     @pytest.mark.parametrize("style", ["bogus", ["x"], None, "Integer"])
     def test_a_block_built_in_python_has_its_style_checked(self, style):
