@@ -16,6 +16,7 @@ float-coefficient polynomials are derived for numerical evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -345,20 +346,27 @@ def green_expansion(x, xp, N):
     """Partial sum of the harmonic expansion of 1/(4 pi |x - x'|).
 
     Sums degrees n = 0..N of (1/(2n+1)) sum_m K_n^m(x) conj(H_n^m(x'))
-    with K_n^m = H_n^m / |x|^(2n+1).  Requires 0 < |x'| or x' = 0, and
-    |x'| < |x|.
+    with K_n^m = H_n^m / |x|^(2n+1).  Requires a finite x whose |x|^(2n+1)
+    is a normal float for every n <= N, as ``hgpt.forward_voltage`` does of
+    its points, and |x'| < |x|; else ``ValueError``.
     """
     x = tuple(float(v) for v in x)
     xp = tuple(float(v) for v in xp)
-    rx = math.sqrt(sum(v * v for v in x))
-    rp = math.sqrt(sum(v * v for v in xp))
-    if rx == 0.0:
-        raise ValueError("x must be nonzero")
-    if rp >= rx:
+    rx, rp = math.hypot(*x), math.hypot(*xp)
+    inverses = []
+    for n in range(N + 1):
+        try:
+            r = rx ** (2 * n + 1)
+        except OverflowError:
+            r = math.inf
+        if not sys.float_info.min <= r <= sys.float_info.max:     # nan fails
+            raise ValueError("x must be a finite point with |x|^%d a normal float: it is "
+                             "%g for x = %r" % (2 * n + 1, r, x))
+        inverses.append(1.0 / r)
+    if not rp < rx:                     # nan fails
         raise ValueError("requires |x'| < |x|")
     total = 0.0
-    for n in range(N + 1):
-        inv = 1.0 / (rx ** (2 * n + 1))
+    for n, inv in enumerate(inverses):
         s = 0.0
         for h in complex_solid_harmonics(n):
             s += (h.evaluate(x) * h.evaluate(xp).conjugate()).real

@@ -277,6 +277,7 @@ def _composed_values(space, S):
     return T.transpose(0, 2, 1) @ A, 1
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a product that overflows fails the residual
 def _harmonic_action(space, S):
     """D(R) for each R of the stack S on a 3-variable space, as (N, den)
     with the (n, d, d) actions N / den: row i of D(R) holds basis[i] o R.
@@ -310,6 +311,7 @@ def _harmonic_action(space, S):
 
 
 @lru_cache(maxsize=MEMO)
+@np.errstate(over="ignore", invalid="ignore")   # on a miss only; the checks refuse alone
 def _float_actions(space, entries):
     """D(R) for each R of the float64 (n, 3, 3) stack whose bytes are
     ``entries``, on a harmonic space: the read-only (n, d, d) float stack,

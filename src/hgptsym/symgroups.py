@@ -194,6 +194,7 @@ class _Keyed:
         return best
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a product that overflows is matched as new
 def group_from_generators(name, generators, expected_order=None):
     """Closure of explicit generator matrices in breadth-first rounds, in
     their own field: rational if every entry is an int or a Fraction.
@@ -208,12 +209,16 @@ def group_from_generators(name, generators, expected_order=None):
     the new elements are also formed exactly, as Python-int matrices over
     one gcd-reduced denominator: their floats are the exact values rounded,
     and the ``exact_elements`` Fractions are built once, at the end.
-    Otherwise the float products are the elements.  A closure whose order
-    is not ``expected_order``, when given, raises.
+    Otherwise the float products are the elements.  A generator with a nan
+    or inf entry raises before the first round, and a closure whose order is
+    not ``expected_order``, when given, raises.
     """
     gens = [np.array(G, dtype=object).reshape(3, 3) for G in generators]
     exact = all(is_rational(x) for G in gens for x in G.flat)
     floats = np.array([G.astype(float) for G in gens]).reshape(-1, 3, 3)
+    bad = np.flatnonzero(~np.isfinite(floats).all(axis=(1, 2)))
+    if len(bad):
+        raise ValueError("generator %d has an entry that is not finite" % bad[0])
     if exact:                   # (N, den) of each generator and each element
         ints = [integer_matrix(G) for G in gens]
         elems = [integer_matrix(np.identity(3, dtype=object))]
@@ -281,6 +286,7 @@ def adjoin_inversion(g):
     return PointGroup(g.name + "i", elems, g.generators + (J,), exact)
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite element fails the checks
 def type3_group(g2, g1):
     """G1 together with J*(G2 \\ G1); G1 must be an index-2 subgroup of G2,
     and both must be rotation groups.
@@ -336,7 +342,7 @@ def build_group(name):
 _BLOCK = 512    # products matched at once: each (512, 9) temporary takes 37 kB
 
 
-@np.errstate(invalid="ignore")      # a nan or inf element fails by its residuals
+@np.errstate(over="ignore", invalid="ignore")   # a non-finite or overflowing element fails
 def verify_group(g, tol=MATCH_TOL):
     """Check orthogonality, identity, closure and inverses; report residuals.
 

@@ -98,6 +98,10 @@ class TestSubcommands:
                                 "--degree", "4"])
         assert doc["result"]["dimension"] == 2
 
+    def test_invariant_harmonics_of_i_at_degree_6(self, capsys):
+        doc = run_json(capsys, ["invariant-harmonics", "--group", "I", "--degree", "6"])
+        assert doc["result"]["dimension"] == 1
+
     def test_molien(self, capsys):
         doc = run_json(capsys, ["molien", "--group", "D4", "--max-degree", "5"])
         assert doc["result"]["h"] == [1, 0, 1, 0, 2, 1]

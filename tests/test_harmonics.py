@@ -232,6 +232,15 @@ class TestGreenExpansion:
             H.green_expansion((1.0, 0, 0), (2.0, 0, 0), 3)
         with pytest.raises(ValueError):
             H.green_expansion((0.0, 0, 0), (0.0, 0, 0), 3)
+        with pytest.raises(ValueError, match="requires"):
+            H.green_expansion((2.0, 0, 0), (math.nan, 0, 0), 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x, k", [((1e200, 0, 0), 3), ((1e-120, 0, 0), 3),
+                                      ((1e-200, 0, 0), 3), ((math.nan, 0, 0), 1)], ids=str)
+    def test_refuses_a_point_whose_power_is_not_a_normal_float(self, x, k):
+        with pytest.raises(ValueError, match=r"\|x\|\^%d a normal float" % k):
+            H.green_expansion(x, (0.0, 0.0, 0.0), 3)
 
 
 class TestMemoisedBuilders:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import intersect_subspaces, nullspace, random_rotation, span_equal, verify_fixed
+from hgptsym import hgpt
 from hgptsym import invariants as inv
 from hgptsym import symgroups as sg
 from hgptsym.harmonics import monomials_of_degree, real_basis
@@ -830,6 +831,31 @@ class TestChecksOnStackedPath:
             with pytest.raises(ValueError, match="group E has no elements"):
                 call()
         assert seen == []
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowingElements:
+    """An element whose products overflow is refused by the span check, or at
+    degrees 0 and 1 by the orthogonality check, without a warning."""
+
+    BIG = 1e200 * np.eye(3)
+    SPAN = r"not in the span \(residual nan\)"
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_rotation_matrix_refuses_every_time(self, p):
+        error, message = (ValueError, "not orthogonal") if p < 2 else (RuntimeError, self.SPAN)
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                hgpt.rotation_matrix(p, self.BIG)
+
+    def test_action_matrix_on_a_symmetric_product(self):
+        with pytest.raises(RuntimeError, match=self.SPAN):
+            inv.action_matrix(inv.symmetric_product_space(2, 2), self.BIG)
+
+    def test_action_stack(self):
+        g = sg.PointGroup("x", [np.eye(3), self.BIG], [])
+        with pytest.raises(RuntimeError, match=self.SPAN):
+            inv.action_stack(inv.harmonic_space(2), g)
 
 
 def _reference_action(space, R):

@@ -270,6 +270,73 @@ class TestVerification:
         assert [f for f in report.failures if f.startswith("duplicate")] == dups
 
 
+# (max orthogonality residual, max closure residual) of each built-in float
+# group; its J-extension has the same, and a rational group has (0.0, 0.0)
+FLOAT_RESIDUALS = {
+    "C3": (1.1102230246251565e-16, 6.363854784884189e-16),
+    "C5": (2.220446049250313e-16, 2.6556679409574677e-16),
+    "C6": (2.220446049250313e-16, 8.286817471267754e-16),
+    "C7": (4.440892098500626e-16, 5.551115123125783e-16),
+    "C8": (3.3306690738754696e-16, 7.378146288716786e-16),
+    "C9": (1.2212453270876722e-15, 8.881784197001252e-16),
+    "C10": (2.220446049250313e-16, 2.220446049250313e-16),
+    "C11": (4.440892098500626e-16, 5.828670879282072e-16),
+    "C12": (6.661338147750939e-16, 1.1102230246251565e-15),
+    "D3": (1.1102230246251565e-16, 6.363854784884189e-16),
+    "D5": (1.1102230246251565e-16, 2.220446049250313e-16),
+    "D6": (2.220446049250313e-16, 8.286817471267754e-16),
+    "D7": (4.440892098500626e-16, 5.551115123125783e-16),
+    "D8": (1.1102230246251565e-16, 7.127430867131293e-16),
+    "I": (4.440892098500626e-16, 8.008622089453101e-16),
+}
+BUILT_IN = {**{"C%d" % n: n for n in range(1, 13)}, **{"D%d" % n: 2 * n for n in range(1, 9)},
+            "T": 12, "O": 24, "I": 60}
+# (name, order, expected order) of every built-in group
+REPORTS = ([(n, k, k) for n, k in BUILT_IN.items()]
+           + [(n + "i", 2 * k, 2 * k) for n, k in BUILT_IN.items()]
+           + [("type3:O/T", 24, None), ("type3:D4/C4", 8, None)])
+
+
+class TestBuiltInReports:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name,order,expected", REPORTS)
+    def test_report_is_pinned_field_for_field(self, name, order, expected):
+        """Every field as pinned; a float residual within one ulp of 1, as the
+        rounding of a 3 x 3 product may differ by one between BLAS builds."""
+        report = sg.verify_group(sg.build_group(name))
+        assert (report.name, report.order, report.expected_order, report.passed,
+                report.failures) == (name, order, expected, True, [])
+        got = (report.max_orthogonality_residual, report.max_closure_residual)
+        base = name.rstrip("i")
+        want = FLOAT_RESIDUALS.get(base, (0.0, 0.0))
+        tol = np.finfo(float).eps if base in FLOAT_RESIDUALS else 0.0
+        assert all(abs(g - w) <= tol for g, w in zip(got, want)), got
+
+
+@pytest.mark.filterwarnings("error")
+class TestRefusalsWithoutWarnings:
+    def test_an_overflowing_element_is_reported(self):
+        report = sg.verify_group(sg.PointGroup("x", [1e200 * np.eye(3)], []))
+        assert (report.order, report.passed) == (1, False)
+        assert report.max_orthogonality_residual == report.max_closure_residual == np.inf
+        assert report.failures == ["element 0 not orthogonal (residual inf)", "identity missing",
+                                   "closure/inverse residual inf exceeds 1e-09"]
+
+    def test_a_non_finite_g1_is_not_a_subgroup(self):
+        g1 = sg.PointGroup("x", [np.eye(3), np.full((3, 3), np.nan)], [])
+        with pytest.raises(ValueError, match="^G1 is not a subgroup of G2$"):
+            sg.type3_group(sg.build_group("C4"), g1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_generator_is_refused_by_index(self, bad):
+        with pytest.raises(ValueError, match="^generator 1 has an entry that is not finite$"):
+            sg.group_from_generators("x", [np.eye(3), np.full((3, 3), bad)])
+
+    def test_an_overflowing_generator_exceeds_the_closure_cap(self):
+        with pytest.raises(ValueError, match="closure exceeded 240 elements"):
+            sg.group_from_generators("x", [1e200 * np.eye(3)])
+
+
 # ---------------------------------------------------------------------------
 # matching by key window against the full search
 # ---------------------------------------------------------------------------
